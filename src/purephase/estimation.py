@@ -29,19 +29,13 @@ __all__ = [
 ]
 
 
-def estimate_density(
-    stack: FrameStack,
-    clamp: bool = False,
-    normalize: bool = True,
-    subtract_dark_baseline: bool = False,
-) -> Density2D:
+def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     """Cross-frame correlation estimate of the joint density.
 
     Columns are the per-frame counts summed over y.  For a single-detector
     stack both axes are the same arm and the exact same-frame self-pair term
-    is removed from the diagonal.  With ``subtract_dark_baseline`` the known
-    mean dark level is removed from the columns first; the estimator is
-    insensitive to it in expectation either way.
+    is removed from the diagonal.  A uniform dark level cancels between the
+    same-frame and shifted-frame products in expectation.
     """
     n = stack.n_frames
     if n < 2:
@@ -51,10 +45,6 @@ def estimate_density(
     cp = cp.astype(np.float64)
     if ck.shape[1] != cp.shape[1] and stack.dual_arm:
         raise DomainError("arm geometries do not match")
-    if subtract_dark_baseline:
-        dark = stack.detector.dark_count_prob * stack.detector.height
-        ck = ck - dark
-        cp = cp - dark
     same = ck.T @ cp / n
     shifted = ck[:-1].T @ cp[1:] / (n - 1)
     values = same - shifted
@@ -64,8 +54,6 @@ def estimate_density(
     centers = stack.pixel_centers()
     pitch = stack.detector.pixel_pitch
     density = Density2D(values, float(centers[0]), pitch, float(centers[0]), pitch)
-    if clamp:
-        density = density.clamped()
     if normalize:
         density = density.self_normalized()
     return density
@@ -163,13 +151,13 @@ def calibrate_sigma_plus(stack: FrameStack) -> float:
     return scale / width
 
 
-def estimate_fedorov(density: Density2D, censor_diagonal: bool | None = None) -> float:
+def estimate_fedorov(density: Density2D) -> float:
     """Marginal width over central conditional width from Gaussian fits.
 
     For single-detector densities the diagonal cell of the conditioning column
     is censored (a photon-counting pixel cannot register both photons of a
-    pair), so that sample is excluded from the slice fit.  The default drops
-    it whenever both axes describe the same pixel grid.
+    pair), so that sample is excluded from the slice fit whenever both axes
+    describe the same pixel grid.
     """
     marg_k, marg_p = density.marginals()
     k_axis, p_axis = density.k_axis, density.p_axis
@@ -180,14 +168,12 @@ def estimate_fedorov(density: Density2D, censor_diagonal: bool | None = None) ->
     center = (p_axis * marg_p).sum() / total
     idx = int(np.argmin(np.abs(p_axis - center)))
     profile = density.values[:, idx]
-    if censor_diagonal is None:
-        censor_diagonal = (
-            k_axis.size == p_axis.size
-            and density.k_origin == density.p_origin
-            and density.k_pitch == density.p_pitch
-        )
     keep = np.ones(k_axis.size, dtype=bool)
-    if censor_diagonal:
+    if (
+        k_axis.size == p_axis.size
+        and density.k_origin == density.p_origin
+        and density.k_pitch == density.p_pitch
+    ):
         keep[idx] = False
     cond_fit = fit_gaussian_1d(k_axis[keep], profile[keep])
     return marg_fit.sigma / cond_fit.sigma

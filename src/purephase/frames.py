@@ -8,8 +8,11 @@ accidental background the cleaning stage exists to remove).  Detector physics
 is reduced to pixel binning, optional uniform dark counts, and optional
 clipping to binary photon-counting frames.
 
-Determinism: frame j draws everything from its own RNG stream keyed by
-seed XOR j, so stacks are bit-identical regardless of evaluation order.
+Split and single-arm stacks come from one kernel.  Determinism: frame j
+draws everything from its own RNG stream keyed by seed XOR j, so stacks are
+bit-identical regardless of evaluation order or stack length.  Draws run
+frame by frame; binning, dark counts and clipping run once per chunk of
+frames with a single np.bincount.
 """
 from __future__ import annotations
 
@@ -134,29 +137,79 @@ def _check_occupancy(det: DetectorConfig, sigmas: tuple[float, float]) -> None:
                 f"mean occupancy {occupancy:.3g} above the photon-counting "
                 "regime (<= 0.15 counts/pixel/frame)",
                 OccupancyWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 
-def _bin_counts(x: np.ndarray, y: np.ndarray, det: DetectorConfig) -> np.ndarray:
-    """Histogram photon coordinates (um) into a (height, width) count image."""
-    img = np.zeros((det.height, det.width), dtype=np.int64)
-    ix = np.floor(x / det.pixel_pitch + det.width / 2.0).astype(np.int64)
-    if det.two_d:
-        iy = np.floor(y / det.pixel_pitch + det.height / 2.0).astype(np.int64)
-    else:
-        iy = np.zeros_like(ix)
-    keep = (ix >= 0) & (ix < det.width) & (iy >= 0) & (iy < det.height)
-    np.add.at(img, (iy[keep], ix[keep]), 1)
-    return img
+# frames binned per np.bincount call; bounds the int64 count temporaries
+_CHUNK_FRAMES = 256
 
 
-def _finalize(img: np.ndarray, det: DetectorConfig, rng: np.random.Generator) -> np.ndarray:
-    if det.dark_count_prob > 0.0:
-        img = img + (rng.random((det.height, det.width)) < det.dark_count_prob)
-    if det.clip_to_binary:
-        img = np.minimum(img, 1)
-    return np.minimum(img, 255).astype(np.uint8)
+def _synthesize(
+    cov: np.ndarray, det: DetectorConfig, n_frames: int, split: bool
+) -> tuple[np.ndarray, int, int]:
+    """Count images (n_frames, arms, height, width) uint8, pair total, split total.
+
+    Each frame takes Poisson(mean_pair_rate) coordinate pairs drawn from the
+    2x2 covariance.  With ``split`` there are two arms: a pair splits when its
+    photons take different paths (x_k lands in arm 0, x_p in arm 1),
+    otherwise both photons fall into one arm as two independent
+    marginal-distributed counts.  Without ``split`` both coordinates of every
+    pair land on the single arm.  Frame j draws, in this order, from
+    frame_rng(seed, j): the pair count, x normals, y normals (2d), then for
+    split stacks the routes, x and y (2d) marginal normals, then one uniform
+    per pixel and arm when dark counts are on.  Binning, darks and clipping
+    run once per chunk of frames.
+    """
+    if n_frames < 1:
+        raise DomainError("n_frames must be >= 1")
+    sigmas = np.sqrt(np.diag(cov))
+    _check_occupancy(det, tuple(sigmas) if split else (float(sigmas.max()),))
+    chol = np.linalg.cholesky(cov)
+    arms = 2 if split else 1
+    dims = 2 if det.two_d else 1
+    images = np.empty((n_frames, arms, det.height, det.width), dtype=np.uint8)
+    n_pairs_total = 0
+    n_split_total = 0
+    for start in range(0, n_frames, _CHUNK_FRAMES):
+        stop = min(start + _CHUNK_FRAMES, n_frames)
+        pairs, joint, routes, marg = [], [], [], []
+        if det.dark_count_prob > 0.0:
+            uniform = np.empty((stop - start, arms, det.height, det.width))
+        for j in range(start, stop):
+            rng = frame_rng(det.seed, j)
+            n = int(rng.poisson(det.mean_pair_rate))
+            pairs.append(n)
+            # one product per (n, 2) draw: a batched product rounds 1-pair frames differently
+            joint.extend(rng.standard_normal((n, 2)) @ chol.T for _ in range(dims))
+            if split:
+                routes.append(rng.integers(0, 2, size=(n, 2)))
+                marg.append(rng.standard_normal((dims, n, 2)))
+            if det.dark_count_prob > 0.0:
+                rng.random(out=uniform[j - start])
+        pairs = np.array(pairs)
+        n_pairs_total += int(pairs.sum())
+        coords = np.stack([np.concatenate(joint[d::dims]) for d in range(dims)])  # (dims, pairs, 2)
+        arm = np.broadcast_to(np.arange(arms), coords.shape[1:])
+        keep = True
+        if split:
+            routes = np.concatenate(routes)
+            together = routes[:, :1] == routes[:, 1:]
+            n_split_total += int(pairs.sum() - together.sum())
+            arm = np.where(together, routes[:, :1], arm)
+            coords = np.where(together, np.concatenate(marg, axis=1) * sigmas[arm], coords)
+            keep = ~together | det.keep_unsplit
+        frame = np.repeat(np.arange(stop - start), pairs)[:, None]
+        ix = np.floor(coords[0] / det.pixel_pitch + det.width / 2.0).astype(np.int64)
+        iy = np.floor(coords[1] / det.pixel_pitch + det.height / 2.0).astype(np.int64) if det.two_d else 0
+        keep = keep & (ix >= 0) & (ix < det.width) & (iy >= 0) & (iy < det.height)
+        pixel = ((frame * arms + arm) * det.height + iy) * det.width + ix
+        counts = np.bincount(pixel[keep], minlength=images[start:stop].size)
+        counts = counts.reshape(-1, arms, det.height, det.width)
+        if det.dark_count_prob > 0.0:
+            counts += uniform < det.dark_count_prob
+        images[start:stop] = np.minimum(counts, 1 if det.clip_to_binary else 255)
+    return images, n_pairs_total, n_split_total
 
 
 def synthesize_frames(
@@ -169,48 +222,7 @@ def synthesize_frames(
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.
     """
-    if n_frames < 1:
-        raise DomainError("n_frames must be >= 1")
-    cov = quad.covariance
-    sigma_k, sigma_p = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
-    _check_occupancy(det, (sigma_k, sigma_p))
-    chol = np.linalg.cholesky(cov)
-    arm_k = np.empty((n_frames, det.height, det.width), dtype=np.uint8)
-    arm_p = np.empty_like(arm_k)
-    n_pairs_total = 0
-    n_split_total = 0
-    for j in range(n_frames):
-        rng = frame_rng(det.seed, j)
-        n_pairs = int(rng.poisson(det.mean_pair_rate))
-        xy = rng.standard_normal((n_pairs, 2)) @ chol.T
-        if det.two_d:
-            xy_y = rng.standard_normal((n_pairs, 2)) @ chol.T
-        else:
-            xy_y = np.zeros((n_pairs, 2))
-        routes = rng.integers(0, 2, size=(n_pairs, 2))
-        marg = rng.standard_normal((n_pairs, 2))
-        if det.two_d:
-            marg_y = rng.standard_normal((n_pairs, 2))
-        else:
-            marg_y = np.zeros((n_pairs, 2))
-        split = routes[:, 0] != routes[:, 1]
-        both_k = (~split) & (routes[:, 0] == 0)
-        both_p = (~split) & (routes[:, 0] == 1)
-        k_x = [xy[split, 0]]
-        k_y = [xy_y[split, 0]]
-        p_x = [xy[split, 1]]
-        p_y = [xy_y[split, 1]]
-        if det.keep_unsplit:
-            k_x.append((marg[both_k] * sigma_k).ravel())
-            k_y.append((marg_y[both_k] * sigma_k).ravel())
-            p_x.append((marg[both_p] * sigma_p).ravel())
-            p_y.append((marg_y[both_p] * sigma_p).ravel())
-        img_k = _bin_counts(np.concatenate(k_x), np.concatenate(k_y), det)
-        img_p = _bin_counts(np.concatenate(p_x), np.concatenate(p_y), det)
-        arm_k[j] = _finalize(img_k, det, rng)
-        arm_p[j] = _finalize(img_p, det, rng)
-        n_pairs_total += n_pairs
-        n_split_total += int(split.sum())
+    images, n_pairs_total, n_split_total = _synthesize(quad.covariance, det, n_frames, split=True)
     meta = {
         "kind": "split_measurement",
         "n_pairs_total": n_pairs_total,
@@ -221,38 +233,15 @@ def synthesize_frames(
         "amp_coeff": quad.amp_coeff,
         "cross_coeff": quad.cross_coeff,
     }
-    return FrameStack(arm_k, arm_p, det, meta)
-
-
-def _synthesize_single_arm(
-    cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: dict
-) -> FrameStack:
-    """Pairs of coordinates drawn from a 2x2 covariance, both photons on one arm."""
-    if n_frames < 1:
-        raise DomainError("n_frames must be >= 1")
-    sig = math.sqrt(max(cov[0, 0], cov[1, 1]))
-    _check_occupancy(det, (sig,))
-    chol = np.linalg.cholesky(cov)
-    arm = np.empty((n_frames, det.height, det.width), dtype=np.uint8)
-    for j in range(n_frames):
-        rng = frame_rng(det.seed, j)
-        n_pairs = int(rng.poisson(det.mean_pair_rate))
-        xy = rng.standard_normal((n_pairs, 2)) @ chol.T
-        if det.two_d:
-            xy_y = rng.standard_normal((n_pairs, 2)) @ chol.T
-        else:
-            xy_y = np.zeros((n_pairs, 2))
-        x = xy.ravel()
-        y = xy_y.ravel()
-        arm[j] = _finalize(_bin_counts(x, y, det), det, rng)
-    return FrameStack(arm, None, det, dict(metadata))
+    return FrameStack(images[:, 0], images[:, 1], det, meta)
 
 
 def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Photon-pair frames of |psi(x1, x2)|^2 on a single detector."""
     cov = state.position_covariance()
+    images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {"kind": "joint_position", "cov_11": cov[0, 0], "cov_12": cov[0, 1], "cov_22": cov[1, 1]}
-    return _synthesize_single_arm(cov, det, n_frames, meta)
+    return FrameStack(images[:, 0], None, det, meta)
 
 
 def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -287,13 +276,14 @@ def synthesize_farfield(
     v11 = 0.25 * (var_sum + var_diff)
     v12 = 0.25 * (var_sum - var_diff)
     cov = scale * scale * np.array([[v11, v12], [v12, v11]])
+    images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {
         "kind": "farfield",
         "sigma_plus_true": sp,
         "sigma_minus_true": sm,
         "farfield_scale": scale,
     }
-    return _synthesize_single_arm(cov, det, n_frames, meta)
+    return FrameStack(images[:, 0], None, det, meta)
 
 
 # ---------------------------------------------------------------------------

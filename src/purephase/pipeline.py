@@ -22,7 +22,7 @@ from .estimation import (
     calibrate_sigma_plus,
     estimate_density,
 )
-from .fitting import fit_gaussian_2d, fit_magnification_curve
+from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
 from .frames import DetectorConfig, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
 from .states import (
@@ -190,9 +190,7 @@ def cmd_calibrate(cfg: RunConfig) -> dict:
 
 def _rasterize(quad, pitch: float, width: int) -> Density2D:
     centers = (np.arange(width) - width / 2.0 + 0.5) * pitch
-    k = centers[:, None]
-    p = centers[None, :]
-    vals = np.exp(-(quad.kk * k * k + 2.0 * quad.kp * k * p + quad.pp * p * p))
+    vals = _gauss2d((centers[:, None], centers[None, :]), 1.0, 0.0, 0.0, quad.kk, quad.kp, quad.pp, 0.0)
     dens = Density2D(vals, float(centers[0]), pitch, float(centers[0]), pitch)
     return dens.self_normalized()
 

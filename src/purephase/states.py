@@ -161,11 +161,6 @@ class GaussianBiphotonState:
     # -- structure ---------------------------------------------------------
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The complex symmetric 2x2 coefficient matrix M."""
-        return np.array([[self.m11, self.m12], [self.m12, self.m22]])
-
-    @property
     def intensity_form(self) -> np.ndarray:
         """W = 2 Re(M); |psi|^2 = exp(2 Re log_norm) * exp(-x^T W x)."""
         return np.array(

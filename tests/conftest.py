@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -40,8 +39,7 @@ def injected_background_density(
 
     cfg = RunConfig()
     quad = pl.quad_for(cfg, mag)
-    cov = quad.covariance
-    pitch = math.ceil(100.0 * 9.0 * math.sqrt(max(cov[0, 0], cov[1, 1])) / 256) / 100.0
+    pitch = pl._auto_pitch(quad, 256)
     det = DetectorConfig(
         pitch, 256, mean_pair_rate=rate, dark_count_prob=dark, clip_to_binary=True, seed=seed
     )

@@ -210,7 +210,7 @@ class TestEstimateFedorov:
         state = dg_state(paper_dg, WAVELENGTH)
         det = DetectorConfig(4.0, 512, mean_pair_rate=2.0, seed=32)
         stack = synthesize_joint(state, det, 50000)
-        dens = estimate_density(stack, clamp=True)
+        dens = estimate_density(stack, normalize=False).clamped().self_normalized()
         from purephase.states import fedorov_ratio
 
         assert estimate_fedorov(dens) == pytest.approx(fedorov_ratio(state), rel=0.15)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -236,3 +237,61 @@ class TestFileFormat:
         path.write_bytes(data[: len(data) - 40])
         with pytest.raises(DomainError, match="truncated"):
             read_framestack(path)
+
+
+GOLDEN_FRAMES = 200
+
+# stack builders keyed by case name; every case draws GOLDEN_FRAMES frames
+GOLDEN_CASES = {
+    "1d_darks": lambda dg: synthesize_frames(
+        paper_quad(dg), quiet_detector(dark_count_prob=0.002), GOLDEN_FRAMES
+    ),
+    "discard_unsplit": lambda dg: synthesize_frames(
+        paper_quad(dg), quiet_detector(keep_unsplit=False), GOLDEN_FRAMES
+    ),
+    "unclipped_darks": lambda dg: synthesize_frames(
+        paper_quad(dg), quiet_detector(clip_to_binary=False, dark_count_prob=0.01), GOLDEN_FRAMES
+    ),
+    "2d": lambda dg: synthesize_frames(
+        paper_quad(dg),
+        quiet_detector(height=16, width=64, pixel_pitch=60.0, dark_count_prob=0.002),
+        GOLDEN_FRAMES,
+    ),
+    "nearfield": lambda dg: synthesize_nearfield(
+        dg, quiet_detector(pixel_pitch=3.25, width=512, mean_pair_rate=2.0, seed=7, dark_count_prob=0.002),
+        GOLDEN_FRAMES,
+    ),
+    "farfield": lambda dg: synthesize_farfield(
+        dg, quiet_detector(pixel_pitch=16.0, width=512, mean_pair_rate=2.0, seed=8, dark_count_prob=0.002),
+        GOLDEN_FRAMES, 15e4, WAVELENGTH,
+    ),
+}
+
+
+def stack_digest(stack: FrameStack) -> str:
+    digest = hashlib.sha256(stack.arm_k.tobytes())
+    if stack.dual_arm:
+        digest.update(stack.arm_p.tobytes())
+    return digest.hexdigest()
+
+
+class TestGoldenStreams:
+    """Seeded stacks are pinned byte for byte: any change to a frame stream fails here."""
+
+    @pytest.mark.parametrize(
+        "case, digest, n_pairs, n_split",
+        [
+            ("1d_darks", "a5cff21bffbf684c2dacd96098fea0485bfab7d5e5ffe4d049f9144f927515dc", 796, 423),
+            ("discard_unsplit", "8a465475fc7a88814bf1c19c33838cbc1312b4aefeb3ee6a1ed70d8f885a78ae", 796, 423),
+            ("unclipped_darks", "9c00072262bae3ed17f71eabdae2f37afbc3beef21e4703e3a388d83ab4c0f78", 796, 423),
+            ("2d", "1daf2bdce3902d3c77d44010fdb95bb4ac5105c1b76b70b988a325fbfcb90364", 796, 387),
+            ("nearfield", "02851f2239a9cd0654465890e8adb17e657fe9317674134b10d67fa1dc523065", None, None),
+            ("farfield", "b6135b46a2a78f0b1478db5db95d508e74875e4530842771d3998b013f0c2bb3", None, None),
+        ],
+    )
+    def test_stack_bytes_and_counts(self, paper_dg, case, digest, n_pairs, n_split):
+        stack = GOLDEN_CASES[case](paper_dg)
+        assert stack.n_frames == GOLDEN_FRAMES
+        assert stack_digest(stack) == digest
+        assert stack.metadata.get("n_pairs_total") == n_pairs
+        assert stack.metadata.get("n_split_total") == n_split
