@@ -3,10 +3,12 @@
 The joint density is the cross-frame correlation estimator: the same-frame
 mean product minus the accidental baseline estimated from the shifted-frame
 product, which is cheap and valid because photon pairs decorrelate from one
-frame to the next.  Width calibration accumulates frame-wise autocorrelations
-(position arm) or autoconvolutions (momentum arm) over the stack, subtracts
-the cross-frame accidental background exactly the same way, and fits the
-central Gaussian peak.
+frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
+Width calibration reads both of its profiles off that one estimator: on a
+single-arm stack the autocorrelation (position arm) is the sum of the pair
+counts along each diagonal x_j - x_i, the autoconvolution (momentum arm) the
+sum along each anti-diagonal x_i + x_j; a Gaussian fit of the central peak
+gives the width.
 """
 from __future__ import annotations
 
@@ -59,48 +61,29 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     return density
 
 
-def _padded_fft(columns: np.ndarray) -> tuple[np.ndarray, int]:
-    width = columns.shape[1]
-    padded = 2 * width
-    return np.fft.rfft(columns, n=padded, axis=1), padded
+def _pair_counts(stack: FrameStack) -> np.ndarray:
+    """Accidental- and self-pair-subtracted pair counts (W x W) of one arm."""
+    if stack.dual_arm:
+        raise DomainError("width calibration expects a single-detector stack")
+    return stack.n_frames * estimate_density(stack, normalize=False).values
 
 
 def autocorrelation_profile(stack: FrameStack) -> tuple[np.ndarray, np.ndarray]:
-    """(lag_um, signal) of the accidental-subtracted pair-separation histogram."""
-    ck, _ = stack.columns()
-    ck = ck.astype(np.float64)
-    n = ck.shape[0]
-    if n < 2:
-        raise DomainError("calibration needs at least 2 frames")
-    fk, padded = _padded_fft(ck)
-    same = np.fft.irfft((fk * fk.conj()).real.sum(axis=0), n=padded)
-    cross = np.fft.irfft((fk[:-1].conj() * fk[1:]).sum(axis=0), n=padded).real
-    signal = same - cross * (n / (n - 1.0))
-    signal[0] -= ck.sum()  # photon paired with itself, exact
-    width = ck.shape[1]
-    # circular layout: lag 0..width-1 at the front, negative lags at the back
-    lags = np.concatenate([np.arange(-width + 1, 0), np.arange(width)])
-    vals = np.concatenate([signal[padded - width + 1 :], signal[:width]])
-    return lags * stack.detector.pixel_pitch, vals
+    """(lag_um, signal): pair counts summed along each diagonal j - i = lag."""
+    counts = _pair_counts(stack)
+    idx = np.arange(counts.shape[0])
+    lag = idx[None, :] - idx[:, None]
+    signal = np.bincount((lag + idx.size - 1).ravel(), weights=counts.ravel())
+    return np.arange(1 - idx.size, idx.size) * stack.detector.pixel_pitch, signal
 
 
 def autoconvolution_profile(stack: FrameStack) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_coordinate_um, signal) of the accidental-subtracted pair-sum histogram."""
-    ck, _ = stack.columns()
-    ck = ck.astype(np.float64)
-    n = ck.shape[0]
-    if n < 2:
-        raise DomainError("calibration needs at least 2 frames")
-    fk, padded = _padded_fft(ck)
-    same = np.fft.irfft((fk * fk).sum(axis=0), n=padded).real
-    cross = np.fft.irfft((fk[:-1] * fk[1:]).sum(axis=0), n=padded).real
-    signal = same - cross * (n / (n - 1.0))
-    totals = ck.sum(axis=0)
-    signal[0 : 2 * ck.shape[1] : 2] -= totals  # photon summed with itself, exact
-    width = ck.shape[1]
-    centers = stack.pixel_centers()
-    coords = 2.0 * centers[0] + np.arange(2 * width - 1) * stack.detector.pixel_pitch
-    return coords, signal[: 2 * width - 1]
+    """(sum_coordinate_um, signal): pair counts summed along each anti-diagonal i + j."""
+    counts = _pair_counts(stack)
+    idx = np.arange(counts.shape[0])
+    signal = np.bincount((idx[:, None] + idx[None, :]).ravel(), weights=counts.ravel())
+    pitch = stack.detector.pixel_pitch
+    return 2.0 * stack.pixel_centers()[0] + np.arange(signal.size) * pitch, signal
 
 
 def _fit_peak_width(coords: np.ndarray, signal: np.ndarray, pitch: float, skip_center: bool) -> float:
@@ -122,33 +105,26 @@ def _fit_peak_width(coords: np.ndarray, signal: np.ndarray, pitch: float, skip_c
     return math.sqrt(var)
 
 
-def calibrate_sigma_minus(stack: FrameStack) -> float:
-    """Pair correlation width from a near-field stack.
+def calibrate_sigma_minus(lags: np.ndarray, signal: np.ndarray, pitch: float) -> float:
+    """Pair correlation width from a near-field autocorrelation profile.
 
     The separation x1 - x2 of a true pair is Gaussian with standard deviation
     sigma_minus, so the fitted autocorrelation peak width maps one-to-one.
     """
-    if stack.dual_arm:
-        raise DomainError("width calibration expects a single-detector stack")
-    lags, signal = autocorrelation_profile(stack)
-    return _fit_peak_width(lags, signal, stack.detector.pixel_pitch, skip_center=True)
+    return _fit_peak_width(lags, signal, pitch, skip_center=True)
 
 
-def calibrate_sigma_plus(stack: FrameStack) -> float:
-    """Momentum anti-correlation width from a far-field stack.
+def calibrate_sigma_plus(coords: np.ndarray, signal: np.ndarray, pitch: float, scale: float) -> float:
+    """Momentum anti-correlation width from a far-field autoconvolution profile.
 
     The pair sum q1 + q2 has standard deviation 1/sigma_plus; on the camera it
-    is scaled by wavelength*f/(2*pi) (recorded in the stack metadata), so the
-    fitted autoconvolution width inverts to sigma_plus.
+    is scaled by ``scale`` = wavelength*f/(2*pi) (the far-field stack records
+    it as ``farfield_scale``), so the fitted autoconvolution width inverts to
+    sigma_plus.
     """
-    if stack.dual_arm:
-        raise DomainError("width calibration expects a single-detector stack")
-    scale = float(stack.metadata.get("farfield_scale", 0.0))
     if scale <= 0.0:
-        raise DomainError("far-field stack metadata lacks the camera mapping scale")
-    coords, signal = autoconvolution_profile(stack)
-    width = _fit_peak_width(coords, signal, stack.detector.pixel_pitch, skip_center=False)
-    return scale / width
+        raise DomainError("far-field camera mapping scale must be positive")
+    return scale / _fit_peak_width(coords, signal, pitch, skip_center=False)
 
 
 def estimate_fedorov(density: Density2D) -> float:

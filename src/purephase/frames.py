@@ -119,9 +119,18 @@ def sample_rho_m(quad: MeasurementQuadratic, n: int, rng: np.random.Generator) -
     return rng.standard_normal((n, 2)) @ chol.T
 
 
-def _check_occupancy(det: DetectorConfig, sigmas: tuple[float, float]) -> None:
-    """Peak expected counts per pixel per frame; warn above 0.15, error above 1."""
-    photons_per_arm = det.mean_pair_rate * (1.0 if det.keep_unsplit else 0.5)
+def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> None:
+    """Peak expected counts per pixel per frame; warn above 0.15, error above 1.
+
+    A split arm receives one photon per pair on average (half of that without
+    the unsplit channel); a single arm receives both photons of every pair and
+    peaks where the wider marginal does.
+    """
+    if split:
+        photons_per_arm = det.mean_pair_rate * (1.0 if det.keep_unsplit else 0.5)
+    else:
+        photons_per_arm = 2.0 * det.mean_pair_rate
+        sigmas = sigmas.max(keepdims=True)
     for sigma in sigmas:
         peak_px = det.pixel_pitch / (math.sqrt(2.0 * math.pi) * sigma)
         if det.two_d:
@@ -164,7 +173,7 @@ def _synthesize(
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
     sigmas = np.sqrt(np.diag(cov))
-    _check_occupancy(det, tuple(sigmas) if split else (float(sigmas.max()),))
+    _check_occupancy(det, sigmas, split)
     chol = np.linalg.cholesky(cov)
     arms = 2 if split else 1
     dims = 2 if det.two_d else 1
@@ -311,15 +320,12 @@ def write_framestack(stack: FrameStack, path) -> None:
         det.seed,
     )
     arms = [stack.arm_k] + ([stack.arm_p] if stack.dual_arm else [])
+    frames = np.stack(arms, axis=1).reshape(stack.n_frames, len(arms), det.height * det.width)
+    # each frame of each arm is packed (and padded to whole bytes) on its own
+    payload = np.packbits(frames, axis=2) if det.clip_to_binary else frames.astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(header)
-        for j in range(stack.n_frames):
-            for arm in arms:
-                frame = arm[j]
-                if det.clip_to_binary:
-                    fh.write(np.packbits(frame.reshape(-1)).tobytes())
-                else:
-                    fh.write(frame.astype(np.uint8).tobytes())
+        fh.write(payload.tobytes())
     meta_path = str(path) + ".meta"
     keys = sorted(stack.metadata)
     with open(meta_path, "w") as fh:

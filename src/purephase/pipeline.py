@@ -7,6 +7,7 @@ configuration and seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
@@ -149,23 +150,16 @@ def cmd_calibrate(cfg: RunConfig) -> dict:
         clip_to_binary=bool(cfg.clip_binary),
         seed=cfg.seed ^ _SEED_NEAR,
     )
-    far_det = DetectorConfig(
-        pixel_pitch=cfg.far_pitch_um,
-        width=cfg.calib_width_px,
-        height=1,
-        mean_pair_rate=cfg.calib_rate,
-        dark_count_prob=cfg.dark_count_prob,
-        clip_to_binary=bool(cfg.clip_binary),
-        seed=cfg.seed ^ _SEED_FAR,
-    )
+    far_det = dataclasses.replace(near_det, pixel_pitch=cfg.far_pitch_um, seed=cfg.seed ^ _SEED_FAR)
     near = synthesize_nearfield(params, near_det, cfg.calib_frames)
     far = synthesize_farfield(params, far_det, cfg.calib_frames, cfg.fm_um, cfg.wavelength_um)
-    sm_hat = calibrate_sigma_minus(near)
-    sp_hat = calibrate_sigma_plus(far)
 
     lags, acorr = autocorrelation_profile(near)
-    _write_table(cfg, "calibrate_autocorr.csv", ["lag_um", "signal"], list(map(list, zip(lags, acorr))))
     coords, aconv = autoconvolution_profile(far)
+    sm_hat = calibrate_sigma_minus(lags, acorr, near_det.pixel_pitch)
+    sp_hat = calibrate_sigma_plus(coords, aconv, far_det.pixel_pitch, far.metadata["farfield_scale"])
+
+    _write_table(cfg, "calibrate_autocorr.csv", ["lag_um", "signal"], list(map(list, zip(lags, acorr))))
     _write_table(cfg, "calibrate_autoconv.csv", ["sum_um", "signal"], list(map(list, zip(coords, aconv))))
 
     est = DGParams(sp_hat, sm_hat)

@@ -5,6 +5,7 @@ import pytest
 
 from purephase.density import Density2D
 from purephase.estimation import (
+    autoconvolution_profile,
     autocorrelation_profile,
     calibrate_sigma_minus,
     calibrate_sigma_plus,
@@ -22,6 +23,15 @@ def paper_quad(paper_dg, mag=-0.5):
     design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
     scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
     return measurement_quadratic(scaled, 15e4, mag, WAVELENGTH)
+
+
+def sigma_minus_of(stack):
+    return calibrate_sigma_minus(*autocorrelation_profile(stack), stack.detector.pixel_pitch)
+
+
+def sigma_plus_of(stack):
+    coords, signal = autoconvolution_profile(stack)
+    return calibrate_sigma_plus(coords, signal, stack.detector.pixel_pitch, stack.metadata["farfield_scale"])
 
 
 class TestEstimateDensity:
@@ -140,13 +150,13 @@ class TestWidthCalibration:
     def test_near_field_width(self, paper_dg):
         det = DetectorConfig(3.25, 512, mean_pair_rate=2.0, dark_count_prob=1e-4, seed=21)
         stack = synthesize_nearfield(paper_dg, det, 25000)
-        est = calibrate_sigma_minus(stack)
+        est = sigma_minus_of(stack)
         assert est == pytest.approx(paper_dg.sigma_minus, rel=0.10)
 
     def test_far_field_width(self, paper_dg):
         det = DetectorConfig(16.0, 512, mean_pair_rate=2.0, dark_count_prob=1e-4, seed=22)
         stack = synthesize_farfield(paper_dg, det, 25000, 15e4, WAVELENGTH)
-        est = calibrate_sigma_plus(stack)
+        est = sigma_plus_of(stack)
         assert est == pytest.approx(paper_dg.sigma_plus, rel=0.10)
 
     def test_symmetric_state_has_equal_widths(self):
@@ -157,30 +167,63 @@ class TestWidthCalibration:
         far_det = DetectorConfig(10.0, 512, mean_pair_rate=2.0, seed=27)
         near = synthesize_nearfield(params, near_det, 12000)
         far = synthesize_farfield(params, far_det, 12000, 15e4, WAVELENGTH)
-        sm = calibrate_sigma_minus(near)
-        sp = calibrate_sigma_plus(far)
+        sm = sigma_minus_of(near)
+        sp = sigma_plus_of(far)
         assert sm == pytest.approx(60.0, rel=0.1)
         assert sp == pytest.approx(sm, rel=0.1)
 
     def test_frame_order_permutation_stability(self, paper_dg, rng):
         det = DetectorConfig(3.25, 512, mean_pair_rate=2.0, seed=23)
         stack = synthesize_nearfield(paper_dg, det, 12000)
-        est = calibrate_sigma_minus(stack)
+        est = sigma_minus_of(stack)
         perm = rng.permutation(stack.n_frames)
         shuffled = FrameStack(stack.arm_k[perm], None, det, dict(stack.metadata))
-        est_shuffled = calibrate_sigma_minus(shuffled)
+        est_shuffled = sigma_minus_of(shuffled)
         assert est_shuffled == pytest.approx(est, rel=0.01)
 
     def test_no_peak_raises(self, paper_dg):
         det = DetectorConfig(3.25, 512, mean_pair_rate=0.0, dark_count_prob=0.01, seed=24)
         stack = synthesize_nearfield(paper_dg, det, 500)
         with pytest.raises(FitError):
-            calibrate_sigma_minus(stack)
+            sigma_minus_of(stack)
 
     def test_requires_single_arm(self, paper_dg):
         stack = synthesize_frames(paper_quad(paper_dg), DetectorConfig(18.0, 64, seed=1), 10)
+        for profile in (autocorrelation_profile, autoconvolution_profile):
+            with pytest.raises(DomainError):
+                profile(stack)
+
+    def test_far_field_needs_positive_scale(self):
+        coords = np.linspace(-100.0, 100.0, 41)
         with pytest.raises(DomainError):
-            calibrate_sigma_minus(stack)
+            calibrate_sigma_plus(coords, np.exp(-0.5 * (coords / 20.0) ** 2), 5.0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    def test_profiles_match_brute_force_pair_histogram(self):
+        # same-frame ordered pairs of distinct photons minus n/(n-1) times the
+        # pairs between each frame and the next, binned by x_j - x_i and i + j
+        det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=False, seed=28)
+        stack = synthesize_nearfield(DGParams(60.0, 40.0), det, 200)
+        ck, _ = stack.columns()
+        n, width = ck.shape
+        photons = [np.repeat(np.arange(width), row) for row in ck]
+        diff = np.zeros(2 * width - 1)
+        total = np.zeros(2 * width - 1)
+        for t in range(n):
+            for a, i in enumerate(photons[t]):
+                for b, j in enumerate(photons[t]):
+                    if a != b:
+                        diff[j - i + width - 1] += 1.0
+                        total[i + j] += 1.0
+                if t + 1 < n:
+                    for j in photons[t + 1]:
+                        diff[j - i + width - 1] -= n / (n - 1.0)
+                        total[i + j] -= n / (n - 1.0)
+        assert ck.max() > 1  # unclipped counts exercise the self-pair rule
+        _, acorr = autocorrelation_profile(stack)
+        _, aconv = autoconvolution_profile(stack)
+        assert np.max(np.abs(acorr - diff)) < 1e-9 * np.abs(diff).max()
+        assert np.max(np.abs(aconv - total)) < 1e-9 * np.abs(total).max()
 
     def test_autocorrelation_profile_peak_and_symmetry(self, paper_dg):
         det = DetectorConfig(3.25, 256, mean_pair_rate=2.0, seed=25)

@@ -87,6 +87,12 @@ class TestDetectorConfig:
         with pytest.raises(DomainError, match="occupancy"):
             synthesize_frames(quad, quiet_detector(mean_pair_rate=2000.0), 2)
 
+    def test_single_arm_occupancy_counts_both_photons(self):
+        # a near-field arm receives both photons of every pair: 0.226, not 0.113
+        det = DetectorConfig(8.0, 512, mean_pair_rate=1.5, seed=1)
+        with pytest.warns(OccupancyWarning, match="occupancy 0.226"):
+            synthesize_nearfield(DGParams(60.0, 60.0), det, 2)
+
 
 class TestSynthesizeFrames:
     def test_zero_rate_dark_only(self, paper_dg):
