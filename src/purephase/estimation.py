@@ -4,6 +4,8 @@ The joint density is the cross-frame correlation estimator: the same-frame
 mean product minus the accidental baseline estimated from the shifted-frame
 product, which is cheap and valid because photon pairs decorrelate from one
 frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
+Both products are accumulated in one pass over blocks of frames, so memory is
+O(B*W + W^2) for blocks of B frames of W pixels, whatever the frame count.
 Width calibration reads both of its profiles off that one estimator: on a
 single-arm stack the autocorrelation (position arm) is the sum of the pair
 counts along each diagonal x_j - x_i, the autoconvolution (momentum arm) the
@@ -31,6 +33,10 @@ __all__ = [
 ]
 
 
+# frames per block of the streamed sums; bounds the float64 column temporaries
+_BLOCK_FRAMES = 1024
+
+
 def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     """Cross-frame correlation estimate of the joint density.
 
@@ -38,21 +44,39 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     stack both axes are the same arm and the exact same-frame self-pair term
     is removed from the diagonal.  A uniform dark level cancels between the
     same-frame and shifted-frame products in expectation.
+
+    One pass over blocks of ``_BLOCK_FRAMES`` frames sums the same-frame
+    products ck^T cp and the next-frame products, carrying each block's last
+    frame into the next block; memory is O(B*W + W^2).  Counts are small
+    integers, so every partial sum is an integer and exact in float64 while
+    N*(255*H)^2 < 2^53 (N frames of height H): the result does not depend on
+    the block size, the summation order or the BLAS kernel.
     """
     n = stack.n_frames
     if n < 2:
         raise DomainError("density estimation needs at least 2 frames")
-    ck, cp = stack.columns()
-    ck = ck.astype(np.float64)
-    cp = cp.astype(np.float64)
-    if ck.shape[1] != cp.shape[1] and stack.dual_arm:
+    arm_k, arm_p = stack.arm_k, stack.arm_p
+    if stack.dual_arm and arm_k.shape[2] != arm_p.shape[2]:
         raise DomainError("arm geometries do not match")
-    same = ck.T @ cp / n
-    shifted = ck[:-1].T @ cp[1:] / (n - 1)
-    values = same - shifted
+    width = arm_k.shape[2]
+    same = np.zeros((width, width))
+    shifted = np.zeros((width, width))
+    self_pairs = np.zeros(width)
+    last_ck = None
+    for start in range(0, n, _BLOCK_FRAMES):
+        ck = arm_k[start : start + _BLOCK_FRAMES].sum(axis=1, dtype=np.float64)
+        cp = arm_p[start : start + _BLOCK_FRAMES].sum(axis=1, dtype=np.float64) if stack.dual_arm else ck
+        same += ck.T @ cp
+        shifted += ck[:-1].T @ cp[1:]
+        if last_ck is not None:
+            shifted += np.outer(last_ck, cp[0])
+        if not stack.dual_arm:
+            self_pairs += ck.sum(axis=0)
+        last_ck = ck[-1]
+    values = same / n - shifted / (n - 1)
     if not stack.dual_arm:
         # remove photon-with-itself pairs from the same-frame diagonal
-        values[np.diag_indices_from(values)] -= ck.sum(axis=0) / n
+        values[np.diag_indices_from(values)] -= self_pairs / n
     centers = stack.pixel_centers()
     pitch = stack.detector.pixel_pitch
     density = Density2D(values, float(centers[0]), pitch, float(centers[0]), pitch)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,8 +147,16 @@ def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> No
                 f"mean occupancy {occupancy:.3g} above the photon-counting "
                 "regime (<= 0.15 counts/pixel/frame)",
                 OccupancyWarning,
-                stacklevel=4,
+                stacklevel=_caller_stacklevel(),
             )
+
+
+def _caller_stacklevel() -> int:
+    """Stacklevel at which a warning issued by the calling function leaves this module."""
+    level = 1
+    while sys._getframe(level).f_code.co_filename == __file__:
+        level += 1
+    return level
 
 
 # frames binned per np.bincount call; bounds the int64 count temporaries
@@ -351,9 +360,9 @@ def read_framestack(path) -> FrameStack:
         n_arms = 2 if dual else 1
         px = height * width
         frame_bytes = (px + 7) // 8 if binary else px
-        raw = fh.read(n_frames * n_arms * frame_bytes)
-    if len(raw) != n_frames * n_arms * frame_bytes:
-        raise DomainError(f"{path} is truncated")
+        raw = bytearray(n_frames * n_arms * frame_bytes)  # writable, so the arms are too
+        if fh.readinto(raw) != len(raw):
+            raise DomainError(f"{path} is truncated")
     data = np.frombuffer(raw, dtype=np.uint8).reshape(n_frames, n_arms, frame_bytes)
     if binary:
         frames = np.unpackbits(data, axis=2)[:, :, :px]
@@ -381,6 +390,4 @@ def read_framestack(path) -> FrameStack:
         seed=seed,
         keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
     )
-    arm_k = frames[:, 0].copy()
-    arm_p = frames[:, 1].copy() if dual else None
-    return FrameStack(arm_k, arm_p, det, metadata)
+    return FrameStack(frames[:, 0], frames[:, 1] if dual else None, det, metadata)

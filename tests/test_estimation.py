@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from purephase import estimation
 from purephase.density import Density2D
 from purephase.estimation import (
     autoconvolution_profile,
@@ -32,6 +35,18 @@ def sigma_minus_of(stack):
 def sigma_plus_of(stack):
     coords, signal = autoconvolution_profile(stack)
     return calibrate_sigma_plus(coords, signal, stack.detector.pixel_pitch, stack.metadata["farfield_scale"])
+
+
+def whole_stack_values(stack):
+    """Unnormalized estimate from every column at once, in float64."""
+    ck, cp = stack.columns()
+    ck = ck.astype(np.float64)
+    cp = cp.astype(np.float64)
+    n = ck.shape[0]
+    values = ck.T @ cp / n - ck[:-1].T @ cp[1:] / (n - 1)
+    if not stack.dual_arm:
+        values[np.diag_indices_from(values)] -= ck.sum(axis=0) / n
+    return values
 
 
 class TestEstimateDensity:
@@ -144,6 +159,54 @@ class TestEstimateDensity:
         inner = dens.values[np.abs(dens.k_axis) < 200][:, np.abs(dens.p_axis) < 200]
         # the self-pair spike would dwarf the pair signal by orders of magnitude
         assert diag.max() < 10.0 * inner.max()
+
+
+class TestStreamedSums:
+    # blocks of 7 frames: n = 6, 7 and 8 sit around the first block boundary
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("n_frames", [2, 6, 7, 8, 15, 22])
+    @pytest.mark.parametrize("split", [True, False])
+    @pytest.mark.parametrize("clip", [True, False])
+    @pytest.mark.parametrize("height", [1, 4])
+    def test_blocks_match_whole_stack(self, paper_dg, monkeypatch, n_frames, split, clip, height):
+        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        dark = 0.0 if clip else 0.02
+        det = DetectorConfig(8.0, 24, height, mean_pair_rate=1.5, dark_count_prob=dark, clip_to_binary=clip, seed=29)
+        if split:
+            stack = synthesize_frames(paper_quad(paper_dg), dataclasses.replace(det, pixel_pitch=100.0), n_frames)
+        else:
+            stack = synthesize_nearfield(DGParams(60.0, 40.0), det, n_frames)
+        assert stack.arm_k.any()
+        values = estimate_density(stack, normalize=False).values
+        assert values.tobytes() == whole_stack_values(stack).tobytes()
+
+    def test_carried_frame_feeds_shifted_sum(self, monkeypatch):
+        # the only counts sit in frames 6 and 7, the last of the first block
+        # and the first of the second: only the carried frame pairs them
+        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        n = 14
+        arm = np.zeros((n, 1, 5), dtype=np.uint8)
+        arm[6, 0, 1] = 1
+        arm[7, 0, 3] = 1
+        stack = FrameStack(arm, None, DetectorConfig(10.0, 5), {})
+        values = estimate_density(stack, normalize=False).values
+        expected = np.zeros((5, 5))
+        expected[1, 3] = -1.0 / (n - 1)
+        assert np.array_equal(values, expected)
+        assert values.tobytes() == whole_stack_values(stack).tobytes()
+
+    def test_memory_independent_of_frame_count(self):
+        # whole-stack float64 columns alone would take 20000 * 512 * 8 B = 82 MB
+        rng = np.random.default_rng(33)
+        arm = rng.integers(0, 2, size=(20000, 1, 512), dtype=np.uint8)
+        stack = FrameStack(arm, None, DetectorConfig(3.25, 512), {})
+        tracemalloc.start()
+        try:
+            estimate_density(stack, normalize=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestWidthCalibration:

@@ -93,6 +93,21 @@ class TestDetectorConfig:
         with pytest.warns(OccupancyWarning, match="occupancy 0.226"):
             synthesize_nearfield(DGParams(60.0, 60.0), det, 2)
 
+    @pytest.mark.parametrize("kind", ["frames", "joint", "nearfield", "farfield"])
+    def test_occupancy_warning_points_at_caller(self, paper_dg, kind):
+        params = DGParams(60.0, 60.0)
+        near = DetectorConfig(8.0, 512, mean_pair_rate=2.0, seed=1)
+        far = DetectorConfig(20.0, 512, mean_pair_rate=4.0, seed=1)
+        synthesize = {
+            "frames": lambda: synthesize_frames(paper_quad(paper_dg), quiet_detector(mean_pair_rate=10.0), 2),
+            "joint": lambda: synthesize_joint(dg_state(params, WAVELENGTH), near, 2),
+            "nearfield": lambda: synthesize_nearfield(params, near, 2),
+            "farfield": lambda: synthesize_farfield(params, far, 2, 15e4, WAVELENGTH),
+        }[kind]
+        with pytest.warns(OccupancyWarning) as record:
+            synthesize()
+        assert record[0].filename == __file__
+
 
 class TestSynthesizeFrames:
     def test_zero_rate_dark_only(self, paper_dg):
