@@ -59,6 +59,9 @@ class Density2D:
         return self.values.sum(axis=1), self.values.sum(axis=0)
 
 
+_AXIS_KEYS = ("k_origin", "k_pitch", "p_origin", "p_pitch")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -68,10 +71,13 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
 
     Lines starting with '#' carry key=value metadata; the first data row
     lists the x_p coordinates, each following row starts with its x_k
-    coordinate.  Floats are written with repr so a read round-trips exactly.
+    coordinate.  Floats are written with repr so a read round-trips exactly;
+    the axis origins and pitches are metadata too, since a pitch taken as the
+    difference of two written coordinates is off by rounding.
     """
     lines = ["# purephase-density v1"]
     items = {"normalized": int(density.normalized), "k_name": density.k_name, "p_name": density.p_name}
+    items.update({key: _fmt(getattr(density, key)) for key in _AXIS_KEYS})
     if meta:
         items.update(meta)
     for key in items:
@@ -86,7 +92,7 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
 def read_density_csv(path) -> Density2D:
     meta = {}
     rows = []
-    p_axis = None
+    header = None
     with open(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -98,24 +104,18 @@ def read_density_csv(path) -> Density2D:
                     key, _, val = body.partition("=")
                     meta[key.strip()] = val.strip()
                 continue
-            cells = line.split(",")
-            if p_axis is None:
-                p_axis = np.array([float(c) for c in cells[1:]])
+            if header is None:
+                header = line  # the x_p coordinates; the axes are read from the metadata
             else:
-                rows.append([float(c) for c in cells])
-    if p_axis is None or not rows:
+                rows.append([float(c) for c in line.split(",")[1:]])
+    if header is None or not rows:
         raise DomainError(f"no density data in {path}")
-    arr = np.array(rows)
-    k_axis = arr[:, 0]
-    values = arr[:, 1:]
-    k_pitch = float(k_axis[1] - k_axis[0]) if k_axis.size > 1 else 1.0
-    p_pitch = float(p_axis[1] - p_axis[0]) if p_axis.size > 1 else 1.0
+    missing = [key for key in _AXIS_KEYS if key not in meta]
+    if missing:
+        raise DomainError(f"density file {path} lacks axis metadata: {', '.join(missing)}")
     return Density2D(
-        values,
-        float(k_axis[0]),
-        k_pitch,
-        float(p_axis[0]),
-        p_pitch,
+        np.array(rows),
+        *(float(meta[key]) for key in _AXIS_KEYS),
         normalized=bool(int(meta.get("normalized", "0"))),
         k_name=meta.get("k_name", "xk"),
         p_name=meta.get("p_name", "xp"),

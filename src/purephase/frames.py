@@ -93,12 +93,6 @@ class FrameStack:
     def dual_arm(self) -> bool:
         return self.arm_p is not None
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-frame counts summed over the y axis: (N, width) per arm."""
-        ck = self.arm_k.sum(axis=1, dtype=np.int64)
-        cp = self.arm_p.sum(axis=1, dtype=np.int64) if self.dual_arm else ck
-        return ck, cp
-
     def pixel_centers(self) -> np.ndarray:
         w = self.detector.width
         return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch

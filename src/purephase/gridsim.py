@@ -5,11 +5,19 @@ computed by FFT propagation and quadrature on an (x1, x2) grid.  Conventions
 match :mod:`purephase.optics`: Fresnel kernel exp(+1j*k*(x-x')^2/(2*z)) (so the
 transfer function is exp(-1j*q^2*z*lam/(4*pi))) and Fourier transforms with
 the exp(-1j*q*x) kernel, which is numpy's forward FFT.
+
+Each full-grid quantity is computed once.  A state squares its amplitudes in
+one pass, on first use, into cached row and column sums; the norm, the
+marginals and their widths read those sums, and a conditional slice squares
+only its own row or column.  A Fresnel propagation takes one spectrum over the
+targeted axes: its marginals give the support check and the transfer factors
+are multiplied into it in place before the one inverse FFT.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +56,9 @@ class GridState:
 
     axis 0 of ``amplitudes`` is the first particle's coordinate.  After a
     partial Fourier transform the first axis holds a spatial frequency in
-    rad/um instead of a position; the bookkeeping is identical.
+    rad/um instead of a position; the bookkeeping is identical.  The
+    amplitudes are treated as immutable: the |psi|^2 sums are cached on first
+    use, and every transform returns a new state.
     """
 
     amplitudes: np.ndarray
@@ -66,51 +76,48 @@ class GridState:
     def x2_axis(self) -> np.ndarray:
         return self.x2_0 + np.arange(self.amplitudes.shape[1]) * self.dx2
 
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.dx1 * self.dx2)
+    @cached_property
+    def _power_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(row sums, column sums, total) of |psi|^2: one pass over the grid."""
+        rows, cols = _power_marginals(self.amplitudes)
+        return rows, cols, float(rows.sum())
 
-    def normalized(self) -> "GridState":
-        return replace(self, amplitudes=self.amplitudes / math.sqrt(self.norm()))
+    def norm(self) -> float:
+        return self._power_sums[2] * self.dx1 * self.dx2
 
     def density(self) -> np.ndarray:
         """|psi|^2 normalised as a continuous density (integrates to 1)."""
-        d = np.abs(self.amplitudes) ** 2
-        return d / (d.sum() * self.dx1 * self.dx2)
+        d = _power(self.amplitudes)
+        d /= self.norm()
+        return d
 
     # -- quadrature estimates ------------------------------------------------
 
     def marginal(self, which: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(axis, density) of one particle's marginal distribution."""
-        d = self.density()
+        rows, cols, total = self._power_sums
         if which == 1:
-            return self.x1_axis, d.sum(axis=1) * self.dx2
-        return self.x2_axis, d.sum(axis=0) * self.dx1
+            return self.x1_axis, rows / (total * self.dx1)
+        return self.x2_axis, cols / (total * self.dx2)
 
     def marginal_std(self, which: int = 1) -> float:
-        x, p = self.marginal(which)
-        dx = self.dx1 if which == 1 else self.dx2
-        total = p.sum() * dx
-        mean = (x * p).sum() * dx / total
-        var = ((x - mean) ** 2 * p).sum() * dx / total
-        return math.sqrt(var)
+        return _weighted_std(*self.marginal(which))
 
     def conditional_slice(self, which: int = 1, at: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Density profile of one particle with the other fixed at the nearest column."""
-        d = self.density()
         if which == 1:
             idx = int(np.argmin(np.abs(self.x2_axis - at)))
-            prof = d[:, idx]
-            return self.x1_axis, prof
-        idx = int(np.argmin(np.abs(self.x1_axis - at)))
-        return self.x2_axis, d[idx, :]
+            x, amp = self.x1_axis, self.amplitudes[:, idx]
+        else:
+            idx = int(np.argmin(np.abs(self.x1_axis - at)))
+            x, amp = self.x2_axis, self.amplitudes[idx, :]
+        return x, _power(amp) / self.norm()
 
     def conditional_std(self, which: int = 1, at: float = 0.0) -> float:
         x, p = self.conditional_slice(which, at)
         if p.sum() <= 0.0:
             raise DomainError("empty conditional slice")
-        mean = (x * p).sum() / p.sum()
-        var = ((x - mean) ** 2 * p).sum() / p.sum()
-        return math.sqrt(var)
+        return _weighted_std(x, p)
 
     def fedorov_ratio(self) -> float:
         return self.marginal_std(1) / self.conditional_std(1, 0.0)
@@ -121,13 +128,33 @@ class GridState:
         Used to regress the conditional-mean slope against the closed form.
         """
         d = self.density()
-        if which != 1:
-            d = d.T
-        x = self.x1_axis if which == 1 else self.x2_axis
-        y = self.x2_axis if which == 1 else self.x1_axis
-        weights = d.sum(axis=0)
-        means = np.where(weights > 0, (x[:, None] * d).sum(axis=0) / np.maximum(weights, 1e-300), 0.0)
+        rows, cols, _ = self._power_sums
+        scale = self.norm()
+        if which == 1:
+            y, moments, weights = self.x2_axis, self.x1_axis @ d, cols / scale
+        else:
+            y, moments, weights = self.x1_axis, d @ self.x2_axis, rows / scale
+        means = np.where(weights > 0, moments / np.maximum(weights, 1e-300), 0.0)
         return y, means, weights
+
+
+def _power(amp: np.ndarray) -> np.ndarray:
+    """|amp|^2 as a new float array."""
+    p = np.abs(amp)
+    p *= p
+    return p
+
+
+def _power_marginals(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of |amp|^2."""
+    p = _power(amp)
+    return p.sum(axis=1), p.sum(axis=0)
+
+
+def _weighted_std(x: np.ndarray, w: np.ndarray) -> float:
+    total = w.sum()
+    mean = (x * w).sum() / total
+    return math.sqrt(((x - mean) ** 2 * w).sum() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +226,8 @@ def discretize(state: GaussianBiphotonState, spec: GridSpec) -> GridState:
     x1 = spec.axis(1)[:, None]
     x2 = spec.axis(2)[None, :]
     amp = state.evaluate(x1, x2)
-    g = GridState(amp, spec.dx1, spec.dx2, float(spec.axis(1)[0]), float(spec.axis(2)[0]), state.wavelength)
-    return g.normalized()
+    amp /= math.sqrt(np.vdot(amp, amp).real * spec.dx1 * spec.dx2)
+    return GridState(amp, spec.dx1, spec.dx2, float(x1[0, 0]), float(x2[0, 0]), state.wavelength)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +238,16 @@ def _axis_freq(n: int, dx: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
 
 
-def _spectral_std(g: GridState, axis: int) -> float:
-    spec = np.fft.fft(g.amplitudes, axis=axis)
-    power = np.abs(spec) ** 2
-    q = _axis_freq(g.amplitudes.shape[axis], g.dx1 if axis == 0 else g.dx2)
-    shape = [1, 1]
-    shape[axis] = q.size
-    q = q.reshape(shape)
-    total = power.sum()
-    mean = (q * power).sum() / total
-    return math.sqrt(((q - mean) ** 2 * power).sum() / total)
+def _target_axes(target: str) -> tuple[int, ...]:
+    axes = {"photon1": (0,), "photon2": (1,), "both": (0, 1)}.get(target)
+    if axes is None:
+        raise DomainError(f"target must be photon1, photon2 or both, got {target!r}")
+    return axes
+
+
+def _along(vector: np.ndarray, axis: int) -> np.ndarray:
+    """A 1D vector shaped to broadcast along one axis of a 2D grid."""
+    return vector.reshape((-1, 1) if axis == 0 else (1, -1))
 
 
 def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
@@ -228,53 +255,48 @@ def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
 
     The propagated field must stay inside the grid: the marginal width after
     propagation is bounded by sigma_x + |z|*sigma_q/k, and that bound has to
-    fit within a quarter of the grid extent per side.
+    fit within a quarter of the grid extent per side.  Both axes are checked
+    on the input's marginals: propagating one axis is unitary and leaves the
+    other axis's position and spectral marginals unchanged.
     """
-    axes = {"photon1": (0,), "photon2": (1,), "both": (0, 1)}.get(target)
-    if axes is None:
-        raise DomainError(f"target must be photon1, photon2 or both, got {target!r}")
+    axes = _target_axes(target)
     if z == 0.0:
         return g
     k = 2.0 * math.pi / g.wavelength
-    amp = g.amplitudes
+    spec = np.fft.fftn(g.amplitudes, axes=axes)
+    # marginals of the one power spectrum; summing over the other axis adds
+    # the same constant factor whether or not that axis was transformed
+    spectral = _power_marginals(spec)
     for axis in axes:
-        n = amp.shape[axis]
+        n = spec.shape[axis]
         dx = g.dx1 if axis == 0 else g.dx2
-        sigma_x = g.marginal_std(axis + 1)
-        sigma_q = _spectral_std(g, axis)
-        predicted = sigma_x + abs(z) * sigma_q / k
+        q = _axis_freq(n, dx)
+        predicted = g.marginal_std(axis + 1) + abs(z) * _weighted_std(q, spectral[axis]) / k
         if n * dx < 8.0 * predicted:
             raise DomainError(
                 f"propagation by {z:.3g} um grows axis {axis + 1} to sigma ~ "
                 f"{predicted:.3g} um; grid extent {n * dx:.3g} um < 8 sigma"
             )
-        q = _axis_freq(n, dx)
-        shape = [1, 1]
-        shape[axis] = n
-        transfer = np.exp(-1j * q * q * z / (2.0 * k)).reshape(shape)
-        amp = np.fft.ifft(np.fft.fft(amp, axis=axis) * transfer, axis=axis)
-    return replace(g, amplitudes=amp)
+        spec *= _along(np.exp(-1j * q * q * z / (2.0 * k)), axis)
+    return replace(g, amplitudes=np.fft.ifftn(spec, axes=axes, out=spec))
 
 
 def grid_pft(g: GridState, target: str = "photon1") -> GridState:
     """Partial Fourier transform: targeted axis goes to spatial frequency (rad/um)."""
-    axes = {"photon1": (0,), "photon2": (1,), "both": (0, 1)}.get(target)
-    if axes is None:
-        raise DomainError(f"target must be photon1, photon2 or both, got {target!r}")
+    axes = _target_axes(target)
     amp = g.amplitudes
     dx = [g.dx1, g.dx2]
     origin = [g.x1_0, g.x2_0]
     for axis in axes:
         n = amp.shape[axis]
-        q = _axis_freq(n, dx[axis])
-        shape = [1, 1]
-        shape[axis] = n
-        spec = np.fft.fft(amp, axis=axis)
+        # (-1)^j on the input yields the DFT already fftshifted (n is even)
+        spec = amp * _along((-1.0) ** np.arange(n), axis)
+        np.fft.fft(spec, axis=axis, out=spec)
         # continuum amplitude: dx * exp(-i q x0) * DFT, unitary 1/sqrt(2 pi)
-        spec = spec * np.exp(-1j * q * origin[axis]).reshape(shape)
-        spec = np.fft.fftshift(spec, axes=axis) * dx[axis] / math.sqrt(2.0 * math.pi)
-        dq = 2.0 * math.pi / (n * dx[axis])
+        q = np.fft.fftshift(_axis_freq(n, dx[axis]))
+        spec *= _along(np.exp(-1j * q * origin[axis]) * (dx[axis] / math.sqrt(2.0 * math.pi)), axis)
         amp = spec
+        dq = 2.0 * math.pi / (n * dx[axis])
         dx[axis] = dq
         origin[axis] = -(n // 2) * dq
     return GridState(amp, dx[0], dx[1], origin[0], origin[1], g.wavelength)

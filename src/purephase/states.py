@@ -196,8 +196,13 @@ class GaussianBiphotonState:
         """Pointwise complex amplitude; x1, x2 broadcast like numpy arrays."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        expo = -(self.m11 * x1 * x1 + self.m22 * x2 * x2 + 2.0 * self.m12 * x1 * x2)
-        return np.exp(self.log_norm + expo)
+        # one full-size buffer: the per-axis terms are added in place.  The
+        # exponent stays one sum because its terms alone can overflow exp.
+        expo = np.empty(np.broadcast_shapes(x1.shape, x2.shape), dtype=complex)
+        np.multiply(-2.0 * self.m12 * x1, x2, out=expo)
+        expo += self.log_norm - self.m11 * x1 * x1
+        expo -= self.m22 * x2 * x2
+        return np.exp(expo, out=expo)
 
     # -- second moments ----------------------------------------------------
 

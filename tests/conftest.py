@@ -12,6 +12,17 @@ SIGMA_PLUS = 286.0
 SIGMA_MINUS = 13.0
 
 
+def stack_columns(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame counts summed over the y axis, (N, width) int64 per arm.
+
+    The reference input of the whole-stack estimator formulas; a single-arm
+    stack returns its one arm twice.
+    """
+    ck = stack.arm_k.sum(axis=1, dtype=np.int64)
+    cp = stack.arm_p.sum(axis=1, dtype=np.int64) if stack.dual_arm else ck
+    return ck, cp
+
+
 @pytest.fixture(scope="session")
 def paper_dg() -> DGParams:
     return DGParams(SIGMA_PLUS, SIGMA_MINUS)

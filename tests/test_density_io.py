@@ -39,9 +39,16 @@ class TestDensity2D:
             Density2D(rng.random((4, 4)), 0.0, -1.0, 0.0, 1.0)
 
 
+def sweep_pitch_density(rng) -> Density2D:
+    """The sweep's 18.07 um pitch at 256 px: axis[1] - axis[0] is not the pitch."""
+    pitch = 18.07
+    return Density2D(rng.random((256, 256)), -127.5 * pitch, pitch, -127.5 * pitch, pitch)
+
+
 class TestCsvRoundTrip:
-    def test_exact_round_trip(self, rng, tmp_path):
-        dens = sample_density(rng).self_normalized()
+    @pytest.mark.parametrize("make", [sample_density, sweep_pitch_density], ids=["sample", "sweep_pitch"])
+    def test_exact_round_trip(self, make, rng, tmp_path):
+        dens = make(rng).self_normalized()
         path = tmp_path / "density.csv"
         write_density_csv(dens, path, {"config_hash": "abc123"})
         loaded = read_density_csv(path)
@@ -49,6 +56,9 @@ class TestCsvRoundTrip:
         assert loaded.k_origin == dens.k_origin
         assert loaded.k_pitch == dens.k_pitch
         assert loaded.p_origin == dens.p_origin
+        assert loaded.p_pitch == dens.p_pitch
+        assert np.array_equal(loaded.k_axis, dens.k_axis)
+        assert np.array_equal(loaded.p_axis, dens.p_axis)
         assert loaded.normalized
 
     def test_deterministic_bytes(self, rng, tmp_path):
@@ -58,6 +68,14 @@ class TestCsvRoundTrip:
         write_density_csv(dens, a)
         write_density_csv(dens, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_missing_axis_metadata_rejected(self, rng, tmp_path):
+        path = tmp_path / "density.csv"
+        write_density_csv(sample_density(rng), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("# p_pitch=")))
+        with pytest.raises(DomainError, match="p_pitch"):
+            read_density_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

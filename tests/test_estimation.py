@@ -19,7 +19,7 @@ from purephase.fitting import FitError, fit_gaussian_2d
 from purephase.frames import DetectorConfig, FrameStack, synthesize_farfield, synthesize_frames, synthesize_joint, synthesize_nearfield
 from purephase.optics import PrepDesign, measurement_quadratic, prepare_p3, tilt_angle
 from purephase.states import DGParams, DomainError, dg_state, phase_plane_distance, pure_phase_params
-from conftest import WAVELENGTH
+from conftest import WAVELENGTH, stack_columns
 
 
 def paper_quad(paper_dg, mag=-0.5):
@@ -39,7 +39,7 @@ def sigma_plus_of(stack):
 
 def whole_stack_values(stack):
     """Unnormalized estimate from every column at once, in float64."""
-    ck, cp = stack.columns()
+    ck, cp = stack_columns(stack)
     ck = ck.astype(np.float64)
     cp = cp.astype(np.float64)
     n = ck.shape[0]
@@ -108,7 +108,7 @@ class TestEstimateDensity:
         det = DetectorConfig(18.0, 128, mean_pair_rate=4.0, seed=6)
         stack = synthesize_frames(quad, det, 8000)
         dens = estimate_density(stack, normalize=False)
-        ck, cp = stack.columns()
+        ck, cp = stack_columns(stack)
         ck = ck.astype(float)
         cp = cp.astype(float)
         n = ck.shape[0]
@@ -267,7 +267,7 @@ class TestWidthCalibration:
         # pairs between each frame and the next, binned by x_j - x_i and i + j
         det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=False, seed=28)
         stack = synthesize_nearfield(DGParams(60.0, 40.0), det, 200)
-        ck, _ = stack.columns()
+        ck, _ = stack_columns(stack)
         n, width = ck.shape
         photons = [np.repeat(np.arange(width), row) for row in ck]
         diff = np.zeros(2 * width - 1)

@@ -19,7 +19,7 @@ from purephase.frames import (
 )
 from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
 from purephase.states import DGParams, DomainError, dg_state, phase_plane_distance, pure_phase_params
-from conftest import WAVELENGTH
+from conftest import WAVELENGTH, stack_columns
 
 
 def paper_quad(paper_dg, mag=-0.5):
@@ -176,7 +176,7 @@ class TestSynthesizeFrames:
         det = quiet_detector(height=32, width=32, pixel_pitch=150.0, mean_pair_rate=1.0)
         stack = synthesize_frames(quad, det, 30)
         assert stack.arm_k.shape == (30, 32, 32)
-        ck, cp = stack.columns()
+        ck, cp = stack_columns(stack)
         assert ck.shape == (30, 32)
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from purephase.gridsim import GridSpec, auto_grid_spec, discretize, fft_fresnel, grid_pft
-from purephase.optics import BOTH, PHOTON_1, Fresnel, apply_element, partial_fourier
+from purephase.optics import BOTH, PHOTON_1, PHOTON_2, Fresnel, apply_element, partial_fourier
 from purephase.states import (
     DGParams,
     DomainError,
+    GaussianBiphotonState,
     conditional_momentum,
     dg_state,
     fedorov_ratio,
@@ -106,6 +107,34 @@ class TestFresnelOracle:
         with pytest.raises(DomainError, match="grid extent"):
             fft_fresnel(g, 5e6, BOTH)
 
+    @pytest.mark.parametrize("target", [PHOTON_1, PHOTON_2])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_single_photon_target(self, seed, target):
+        rng = np.random.default_rng(seed)
+        params = DGParams(rng.uniform(30.0, 70.0), rng.uniform(8.0, 20.0))
+        state = dg_state(params, WAVELENGTH)
+        z = phase_plane_distance(params, WAVELENGTH) * rng.uniform(0.5, 1.5)
+        g = discretize(state, auto_grid_spec(state, extent_sigmas=16.0, max_n=512))
+        propagated = fft_fresnel(g, z, target)
+        analytic = apply_element(state, Fresnel(z, target))
+        for photon in (1, 2):
+            assert propagated.marginal_std(photon) == pytest.approx(
+                analytic.marginal_position_std(photon), rel=1e-4
+            )
+        assert l2_mismatch(propagated.density(), closed_form_density(analytic, propagated)) < 1e-4
+
+    def test_support_checked_per_axis(self):
+        # axis 1 is four times wider than needed, axis 2 overflows at this z
+        params = DGParams(60.0, 15.0)
+        state = dg_state(params, WAVELENGTH)
+        spec = auto_grid_spec(state)
+        g = discretize(state, GridSpec(4 * spec.n1, spec.n2, spec.dx1, spec.dx2))
+        z = 6.0 * phase_plane_distance(params, WAVELENGTH)
+        for target in (PHOTON_2, BOTH):
+            with pytest.raises(DomainError, match="grows axis 2"):
+                fft_fresnel(g, z, target)
+        assert fft_fresnel(g, z, PHOTON_1).norm() == pytest.approx(1.0, abs=1e-9)
+
     def test_convergence_under_refinement(self):
         params = DGParams(75.0, 15.0)
         state = dg_state(params, WAVELENGTH)
@@ -175,3 +204,58 @@ class TestGridFedorov:
         g = discretize(state, auto_grid_spec(state, extent_sigmas=9.0))
         x, prof = g.marginal(1)
         assert prof.sum() * g.dx1 == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_density(g):
+    d = np.abs(g.amplitudes) ** 2
+    return d / (d.sum() * g.dx1 * g.dx2)
+
+
+def reference_std(x, p):
+    mean = (x * p).sum() / p.sum()
+    return math.sqrt(((x - mean) ** 2 * p).sum() / p.sum())
+
+
+class TestQuadratureAnisotropic:
+    """Cached |psi|^2 sums against a reference built from the amplitudes."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        state = GaussianBiphotonState.from_quadratic(1e-3, 4e-3, -0.5e-3 + 0.3e-3j, WAVELENGTH)
+        return discretize(state, GridSpec(256, 128, 1.25, 0.9))
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_marginal_and_conditional(self, grid, which):
+        d = reference_density(grid)
+        axis, other = (grid.x1_axis, grid.x2_axis) if which == 1 else (grid.x2_axis, grid.x1_axis)
+        pitch = grid.dx2 if which == 1 else grid.dx1
+        marginal = d.sum(axis=2 - which) * pitch
+        x, p = grid.marginal(which)
+        assert np.array_equal(x, axis)
+        np.testing.assert_allclose(p, marginal, rtol=1e-12, atol=1e-12 * marginal.max())
+        assert grid.marginal_std(which) == pytest.approx(reference_std(axis, marginal), rel=1e-12)
+
+        at = 0.3 * other[-1]
+        idx = int(np.argmin(np.abs(other - at)))
+        assert idx != other.size // 2
+        conditional = d[:, idx] if which == 1 else d[idx, :]
+        x, p = grid.conditional_slice(which, at)
+        assert np.array_equal(x, axis)
+        np.testing.assert_allclose(p, conditional, rtol=1e-12, atol=1e-12 * conditional.max())
+        assert grid.conditional_std(which, at) == pytest.approx(reference_std(axis, conditional), rel=1e-12)
+
+    def test_fedorov_and_norm(self, grid):
+        d = reference_density(grid)
+        marginal = reference_std(grid.x1_axis, d.sum(axis=1))
+        conditional = reference_std(grid.x1_axis, d[:, grid.x2_axis.size // 2])
+        assert grid.fedorov_ratio() == pytest.approx(marginal / conditional, rel=1e-12)
+        norm = float(np.sum(np.abs(grid.amplitudes) ** 2) * grid.dx1 * grid.dx2)
+        assert grid.norm() == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("transform", ["fresnel", "pft"])
+    def test_transform_does_not_reuse_cached_sums(self, grid, transform):
+        before = grid.marginal_std(1)
+        out = fft_fresnel(grid, 3000.0, PHOTON_1) if transform == "fresnel" else grid_pft(grid, PHOTON_1)
+        after = out.marginal_std(1)
+        assert after != pytest.approx(before, rel=1e-3)
+        assert after == pytest.approx(reference_std(out.x1_axis, reference_density(out).sum(axis=1)), rel=1e-12)
