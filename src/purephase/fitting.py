@@ -15,7 +15,7 @@ import numpy as np
 from scipy import optimize
 
 from .density import Density2D
-from .optics import measurement_quadratic, principal_angle_deg, tilt_angle, tilt_from_form
+from .optics import measurement_quadratic, principal_angle_deg, principal_widths, tilt_angle, tilt_from_form
 from .states import PurePhaseParams
 
 __all__ = [
@@ -114,8 +114,8 @@ class GaussianFit2D:
 
     @property
     def widths(self) -> tuple[float, float]:
-        eig = np.linalg.eigvalsh(np.array([[self.kk, self.kp], [self.kp, self.pp]]))
-        return (1.0 / math.sqrt(2.0 * eig[0]), 1.0 / math.sqrt(2.0 * eig[1]))
+        """(major, minor) standard deviations, as the model's principal_widths."""
+        return principal_widths(self)
 
 
 def moment_estimate(density: Density2D) -> tuple[float, float, float, float, float, float]:
@@ -180,38 +180,26 @@ def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
 
 def fit_magnification_curve(
     points,
-    amp_coeff: float,
-    cross_coeff: float,
+    base: PurePhaseParams,
     fourier_focal: float,
     wavelength: float,
     mag_eff_guess: float,
 ) -> tuple[float, np.ndarray]:
     """Fit the net preparation magnification to observed (M_m, theta) points.
 
-    The model rescales the unmagnified pure-phase coefficients by the trial
-    magnification and predicts the tilt for each imaging-arm setting.
-    Residuals are wrapped into (-90, 90] so the axis-angle branch cut never
-    bites.  Returns (fitted magnification, residuals in degrees).
+    The model rescales the unmagnified pure-phase coefficients ``base`` by the
+    trial magnification and predicts the tilt at every imaging-arm setting in
+    one call.  Residuals are wrapped into (-90, 90] so the axis-angle branch
+    cut never bites.  Returns (fitted magnification, residuals in degrees).
     """
-    points = [(float(m), float(t)) for m, t in points]
+    points = np.asarray(points, dtype=float)
     if len(points) < 3:
         raise FitError(f"magnification fit needs at least 3 points, got {len(points)}")
-    base = PurePhaseParams(amp_coeff, cross_coeff)
-    mags = np.array([m for m, _ in points])
-    thetas = np.array([t for _, t in points])
-
-    def model(mag_eff: float) -> np.ndarray:
-        scaled = base.rescaled(mag_eff)
-        return np.array(
-            [
-                tilt_angle(measurement_quadratic(scaled, fourier_focal, m, wavelength))
-                for m in mags
-            ]
-        )
+    mags, thetas = points.T
 
     def residuals(params):
-        diff = model(abs(params[0])) - thetas
-        return np.array([principal_angle_deg(d) for d in diff])
+        quad = measurement_quadratic(base.rescaled(abs(params[0])), fourier_focal, mags, wavelength)
+        return principal_angle_deg(tilt_angle(quad) - thetas)
 
     result = optimize.least_squares(
         residuals, x0=[mag_eff_guess], method="lm", xtol=_XTOL, max_nfev=_MAX_ITER * 5

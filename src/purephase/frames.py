@@ -283,11 +283,7 @@ def synthesize_farfield(
     sp, sm = params.sigma_plus, params.sigma_minus
     scale = wavelength * fourier_focal / (2.0 * math.pi)
     # momentum-space covariance of the source state, mapped to the camera
-    var_sum = 1.0 / (sp * sp)  # Var(q1+q2)
-    var_diff = 1.0 / (sm * sm)  # Var(q1-q2)
-    v11 = 0.25 * (var_sum + var_diff)
-    v12 = 0.25 * (var_sum - var_diff)
-    cov = scale * scale * np.array([[v11, v12], [v12, v11]])
+    cov = scale * scale * dg_state(params, wavelength).momentum_covariance()
     images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {
         "kind": "farfield",

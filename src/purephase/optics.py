@@ -48,7 +48,6 @@ __all__ = [
     "tilt_angle",
     "tilt_from_form",
     "principal_widths",
-    "tilt_curve",
     "principal_angle_deg",
 ]
 
@@ -337,28 +336,26 @@ class MeasurementQuadratic:
     rho(x_k, x_p) is proportional to exp(-(kk*x_k^2 + 2*kp*x_k*x_p + pp*x_p^2))
     where x_k is the Fourier-arm and x_p the imaging-arm camera coordinate.
     amp_coeff and cross_coeff record the (already magnification-scaled)
-    pure-phase coefficients the density was derived from.
+    pure-phase coefficients the density was derived from.  For an array of
+    imaging magnifications kp and pp are arrays over them; kk does not depend
+    on the magnification.
     """
 
     kk: float
-    kp: float
-    pp: float
+    kp: float | np.ndarray
+    pp: float | np.ndarray
     amp_coeff: float
     cross_coeff: float
 
     def __post_init__(self):
-        if not (self.kk > 0.0 and self.pp > 0.0):
+        if not (self.kk > 0.0 and np.all(self.pp > 0.0)):
             raise DomainError("density coefficients kk and pp must be positive")
-        if self.kk * self.pp - self.kp * self.kp <= 0.0:
+        if np.any(self.kk * self.pp - self.kp * self.kp <= 0.0):
             raise DomainError("density quadratic form must be positive definite")
 
     @property
-    def form_matrix(self) -> np.ndarray:
-        return np.array([[self.kk, self.kp], [self.kp, self.pp]])
-
-    @property
     def covariance(self) -> np.ndarray:
-        """Covariance of the bivariate Gaussian density, (2*form)^-1."""
+        """Covariance of the bivariate Gaussian density, (2*form)^-1 (one magnification)."""
         det = self.kk * self.pp - self.kp * self.kp
         return np.array([[self.pp, -self.kp], [-self.kp, self.kk]]) / (2.0 * det)
 
@@ -366,18 +363,21 @@ class MeasurementQuadratic:
 def measurement_quadratic(
     scaled: PurePhaseParams,
     fourier_focal: float,
-    imaging_mag: float,
+    imaging_mag,
     wavelength: float,
 ) -> MeasurementQuadratic:
     """Joint density of the split measurement for given arm settings.
 
     ``scaled`` holds the pure-phase coefficients at the prepared plane (i.e.
     already divided by the preparation magnification squared).  imaging_mag is
-    the signed single-lens magnification of the position arm.
+    the signed single-lens magnification of the position arm, a scalar or an
+    array of them; a scalar gives float coefficients.
     """
     if not (fourier_focal > 0.0):
         raise DomainError(f"fourier_focal must be positive, got {fourier_focal!r}")
-    if imaging_mag == 0.0:
+    if np.ndim(imaging_mag):
+        imaging_mag = np.asarray(imaging_mag, dtype=float)
+    if np.any(imaging_mag == 0.0):
         raise DomainError("imaging_mag must be nonzero")
     a, b = scaled.amp_coeff, scaled.cross_coeff
     lam_f = wavelength * fourier_focal
@@ -387,56 +387,47 @@ def measurement_quadratic(
     return MeasurementQuadratic(kk, kp, pp, a, b)
 
 
-def principal_angle_deg(angle: float) -> float:
-    """Reduce an axis angle in degrees to the interval (-90, 90]."""
-    reduced = math.fmod(angle, 180.0)
-    if reduced > 90.0:
-        reduced -= 180.0
-    elif reduced <= -90.0:
-        reduced += 180.0
-    return reduced
+def _float_if_scalar(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
-def tilt_from_form(kk: float, kp: float, pp: float) -> float:
+def principal_angle_deg(angle):
+    """Reduce axis angles in degrees to the interval (-90, 90]."""
+    reduced = np.fmod(angle, 180.0)
+    reduced = np.where(reduced > 90.0, reduced - 180.0, reduced)
+    reduced = np.where(reduced <= -90.0, reduced + 180.0, reduced)
+    return _float_if_scalar(reduced)
+
+
+def tilt_from_form(kk, kp, pp):
     """Tilt of a density's major axis from the position axis, in (-90, 90] deg.
 
     Uses the two-argument arctangent so the branch always agrees with the
     covariance eigenvector; a single-argument arctan of 2*kp/(kk-pp) is off by
     90 degrees whenever kk < pp.  An isotropic density has no defined tilt and
-    yields NaN.
+    yields NaN.  Coefficient arrays give an array of tilts.
     """
-    if kp == 0.0 and kk == pp:
-        return math.nan
-    raw = 0.5 * math.degrees(math.atan2(2.0 * kp, kk - pp))
-    return principal_angle_deg(-raw)
+    raw = 0.5 * np.degrees(np.arctan2(2.0 * kp, kk - pp))
+    isotropic = (kp == 0.0) & (kk == pp)
+    return _float_if_scalar(np.where(isotropic, np.nan, principal_angle_deg(-raw)))
 
 
-def tilt_angle(quad: MeasurementQuadratic) -> float:
+def tilt_angle(quad: MeasurementQuadratic):
     """Tilt of the measured density's major axis from the position axis."""
     return tilt_from_form(quad.kk, quad.kp, quad.pp)
 
 
-def principal_widths(quad: MeasurementQuadratic) -> tuple[float, float]:
-    """(major, minor) standard deviations 1/sqrt(2*eigenvalue) of the density."""
-    eigvals = np.linalg.eigvalsh(quad.form_matrix)
-    if eigvals[0] <= 0.0:
+def principal_widths(quad) -> tuple:
+    """(major, minor) standard deviations 1/sqrt(2*eigenvalue) of a density form.
+
+    ``quad`` is anything with kk, kp and pp coefficients (scalars or arrays).
+    The 2x2 eigenvalues are closed form; the minor one is det/lambda_max, which
+    keeps its relative accuracy where the difference of the two would cancel.
+    """
+    kk, kp, pp = quad.kk, quad.kp, quad.pp
+    lam_max = 0.5 * (kk + pp) + np.hypot(0.5 * (kk - pp), kp)
+    lam_min = (kk * pp - kp * kp) / lam_max
+    if np.any(lam_min <= 0.0):
         raise DomainError("density quadratic form has a non-positive eigenvalue")
-    return (1.0 / math.sqrt(2.0 * eigvals[0]), 1.0 / math.sqrt(2.0 * eigvals[1]))
-
-
-def tilt_curve(
-    params: DGParams,
-    design: PrepDesign,
-    fourier_focal: float,
-    magnifications,
-    wavelength: float,
-) -> list[tuple[float, float]]:
-    """Predicted (magnification, tilt) pairs for the prepared state."""
-    from .states import pure_phase_params
-
-    scaled = pure_phase_params(params).rescaled(design.mag_eff)
-    out = []
-    for mag in magnifications:
-        quad = measurement_quadratic(scaled, fourier_focal, mag, wavelength)
-        out.append((float(mag), tilt_angle(quad)))
-    return out
+    major, minor = 1.0 / np.sqrt(2.0 * lam_min), 1.0 / np.sqrt(2.0 * lam_max)
+    return _float_if_scalar(major), _float_if_scalar(minor)

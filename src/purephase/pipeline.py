@@ -191,17 +191,18 @@ def _rasterize(quad, pitch: float, width: int) -> Density2D:
 
 def cmd_predict(cfg: RunConfig) -> dict:
     """Analytic densities and tilt table for every configured magnification."""
-    rows = []
+    quad = quad_for(cfg, cfg.magnifications)
+    theta = tilt_angle(quad)
+    major, minor = principal_widths(quad)
+    columns = (cfg.magnifications, theta, abs(theta), np.full_like(theta, quad.kk), quad.kp, quad.pp, major, minor)
+    rows = [list(row) for row in zip(*columns)]
     for mag in cfg.magnifications:
-        quad = quad_for(cfg, mag)
-        theta = tilt_angle(quad)
-        major, minor = principal_widths(quad)
-        pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(quad, cfg.arm_width_px)
-        dens = _rasterize(quad, pitch, cfg.arm_width_px)
+        mag_quad = quad_for(cfg, mag)
+        pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(mag_quad, cfg.arm_width_px)
+        dens = _rasterize(mag_quad, pitch, cfg.arm_width_px)
         tag = _mag_tag(mag)
         write_density_csv(dens, _out(cfg, f"predict_rho_{tag}.csv"), _density_meta(cfg))
         write_density_pgm(dens, _out(cfg, f"predict_rho_{tag}.pgm"))
-        rows.append([mag, theta, abs(theta), quad.kk, quad.kp, quad.pp, major, minor])
     _write_table(
         cfg,
         "predict_tilt.csv",
@@ -299,21 +300,18 @@ def cmd_fit(cfg: RunConfig) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig) -> dict:
-    """Full simulate -> estimate -> clean -> fit chain plus the magnification fit."""
+    """Full simulate -> estimate -> clean -> fit chain plus the magnification fit.
+
+    Returns the sweep report's items and cmd_fit's per-magnification rows.
+    """
     cmd_simulate(cfg)
     cmd_estimate(cfg)
     cmd_clean(cfg)
     fit_info = cmd_fit(cfg)
     design = prep_design(cfg)
-    base = pure_phase_params(source_params(cfg))
     points = [(row[0], row[1]) for row in fit_info["rows"]]
     mag_fit, residuals = fit_magnification_curve(
-        points,
-        base.amp_coeff,
-        base.cross_coeff,
-        cfg.fm_um,
-        cfg.wavelength_um,
-        design.mag_eff,
+        points, pure_phase_params(source_params(cfg)), cfg.fm_um, cfg.wavelength_um, design.mag_eff
     )
     items = {
         "mag_eff_theory": design.mag_eff,
@@ -323,7 +321,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         "residual_rms_deg": float(np.sqrt(np.mean(residuals**2))),
     }
     _write_report(cfg, "sweep_report.txt", items)
-    return items
+    return {**items, "rows": fit_info["rows"]}
 
 
 def cmd_report(cfg: RunConfig) -> dict:

@@ -182,16 +182,6 @@ class GaussianBiphotonState:
         det_w = _intensity_det(self.m11, self.m22, self.m12)
         return math.exp(2.0 * self.log_norm.real) * math.pi / math.sqrt(det_w)
 
-    def renormalized(self) -> "GaussianBiphotonState":
-        """Same quadratic form with unit norm and zero global phase."""
-        return GaussianBiphotonState(
-            self.m11,
-            self.m22,
-            self.m12,
-            complex(_log_norm_for(self.m11, self.m22, self.m12)),
-            self.wavelength,
-        )
-
     def evaluate(self, x1, x2) -> np.ndarray:
         """Pointwise complex amplitude; x1, x2 broadcast like numpy arrays."""
         x1 = np.asarray(x1, dtype=float)

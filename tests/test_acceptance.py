@@ -131,12 +131,12 @@ def test_criterion_4_tilt_prediction():
 def sweep_results(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_sweep")
     cfg = RunConfig(out_dir=str(out), frames=100_000, seed=20240811)
-    return pl.cmd_sweep(cfg), pl.cmd_fit(cfg), cfg
+    return pl.cmd_sweep(cfg), cfg
 
 
 def test_criterion_5_end_to_end_monte_carlo(sweep_results):
-    sweep, fits, cfg = sweep_results
-    errors = {row[0]: abs(row[1] - row[3]) for row in fits["rows"]}
+    sweep, cfg = sweep_results
+    errors = {row[0]: abs(row[1] - row[3]) for row in sweep["rows"]}
     worst_mag = max(errors, key=errors.get)
     design = pl.prep_design(cfg)
     mag_gap = abs(sweep["mag_eff_fit"] - design.mag_eff) / design.mag_eff

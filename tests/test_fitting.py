@@ -11,7 +11,7 @@ from purephase.fitting import (
     fit_magnification_curve,
     moment_estimate,
 )
-from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle, tilt_curve
+from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
 from purephase.states import phase_plane_distance, pure_phase_params
 from conftest import WAVELENGTH
 
@@ -132,9 +132,7 @@ class TestMagnificationFit:
         points = [
             (m, tilt_angle(measurement_quadratic(scaled, FM, m, WAVELENGTH))) for m in mags
         ]
-        fitted, residuals = fit_magnification_curve(
-            points, base.amp_coeff, base.cross_coeff, FM, WAVELENGTH, 1.0
-        )
+        fitted, residuals = fit_magnification_curve(points, base, FM, WAVELENGTH, 1.0)
         assert fitted == pytest.approx(target, rel=1e-2)
         assert np.max(np.abs(residuals)) < 1e-6
 
@@ -147,14 +145,10 @@ class TestMagnificationFit:
             (m, tilt_angle(measurement_quadratic(scaled, FM, m, WAVELENGTH)) + rng.normal(0, 2.0))
             for m in mags
         ]
-        fitted, _ = fit_magnification_curve(
-            points, base.amp_coeff, base.cross_coeff, FM, WAVELENGTH, 1.39
-        )
+        fitted, _ = fit_magnification_curve(points, base, FM, WAVELENGTH, 1.39)
         assert 1.2 <= fitted <= 1.5
 
     def test_under_determined_raises(self, paper_dg):
         base = pure_phase_params(paper_dg)
         with pytest.raises(FitError):
-            fit_magnification_curve(
-                [(-0.5, 69.0)], base.amp_coeff, base.cross_coeff, FM, WAVELENGTH, 1.4
-            )
+            fit_magnification_curve([(-0.5, 69.0)], base, FM, WAVELENGTH, 1.4)

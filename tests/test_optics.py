@@ -22,7 +22,6 @@ from purephase.optics import (
     principal_angle_deg,
     principal_widths,
     tilt_angle,
-    tilt_curve,
     tilt_from_form,
 )
 from purephase.states import (
@@ -345,36 +344,90 @@ class TestPrincipalWidths:
         # the major direction is (sin theta, cos theta) in (x_k, x_p)
         c, s = math.cos(theta), math.sin(theta)
         axes = np.array([[s, c], [c, -s]])
-        form = axes.T @ quad.form_matrix @ axes
+        form = axes.T @ np.array([[quad.kk, quad.kp], [quad.kp, quad.pp]]) @ axes
         assert abs(form[0, 1]) < 1e-9 * max(abs(form[0, 0]), abs(form[1, 1]))
         major, _ = principal_widths(quad)
         assert 1.0 / math.sqrt(2.0 * form[0, 0]) == pytest.approx(major, rel=1e-9)
 
 
+def paper_scaled(paper_dg):
+    """Pure-phase coefficients at the prepared plane of the reference design."""
+    return pure_phase_params(paper_dg).rescaled(paper_design(paper_dg).mag_eff)
+
+
+def paper_curve(paper_dg, mags):
+    """Predicted tilts of the prepared state at the given imaging magnifications."""
+    return tilt_angle(measurement_quadratic(paper_scaled(paper_dg), FM, mags, WAVELENGTH))
+
+
 class TestTiltCurve:
     def test_matches_reference_ordering(self, paper_dg):
-        design = paper_design(paper_dg)
-        curve = dict(tilt_curve(paper_dg, design, FM, [-0.3, -0.75, -2.5], WAVELENGTH))
-        assert abs(curve[-0.3]) > abs(curve[-0.75]) > abs(curve[-2.5])
+        theta = paper_curve(paper_dg, [-0.3, -0.75, -2.5])
+        assert abs(theta[0]) > abs(theta[1]) > abs(theta[2])
 
     def test_monotone_on_negative_branch(self, paper_dg):
-        design = paper_design(paper_dg)
-        mags = np.linspace(-3.0, -0.3, 25)
-        thetas = [abs(t) for _, t in tilt_curve(paper_dg, design, FM, mags, WAVELENGTH)]
-        assert all(a <= b + 1e-12 for a, b in zip(thetas, thetas[1:]))
+        thetas = np.abs(paper_curve(paper_dg, np.linspace(-3.0, -0.3, 25)))
+        assert np.all(thetas[:-1] <= thetas[1:] + 1e-12)
 
     def test_large_magnification_asymptote(self, paper_dg):
-        design = paper_design(paper_dg)
-        (_, theta), = tilt_curve(paper_dg, design, FM, [-500.0], WAVELENGTH)
+        (theta,) = paper_curve(paper_dg, [-500.0])
         assert abs(theta) < 1.0
 
     def test_refit_recovers_magnification(self, paper_dg):
         from purephase.fitting import fit_magnification_curve
 
-        design = paper_design(paper_dg)
-        points = tilt_curve(paper_dg, design, FM, [-0.4, -0.75, -1.2, -2.0, -3.0], WAVELENGTH)
+        mags = [-0.4, -0.75, -1.2, -2.0, -3.0]
+        points = np.column_stack([mags, paper_curve(paper_dg, mags)])
         base = pure_phase_params(paper_dg)
-        fitted, _ = fit_magnification_curve(
-            points, base.amp_coeff, base.cross_coeff, FM, WAVELENGTH, 1.2
-        )
-        assert fitted == pytest.approx(design.mag_eff, rel=1e-2)
+        fitted, _ = fit_magnification_curve(points, base, FM, WAVELENGTH, 1.2)
+        assert fitted == pytest.approx(paper_design(paper_dg).mag_eff, rel=1e-2)
+
+
+class TestVectorizedModel:
+    """An array of magnifications gives, element by element, the scalar calls' results."""
+
+    MAGS = np.delete(np.linspace(-3.0, 3.0, 61), 30)  # M = 0 has no image
+
+    def test_matches_scalar_calls(self, paper_dg):
+        scaled = paper_scaled(paper_dg)
+        quad = measurement_quadratic(scaled, FM, self.MAGS, WAVELENGTH)
+        theta = tilt_angle(quad)
+        major, minor = principal_widths(quad)
+        assert theta.shape == major.shape == minor.shape == self.MAGS.shape
+        # both branches of the two-argument arctangent are exercised
+        assert np.any(quad.kk < quad.pp) and np.any(quad.kk > quad.pp)
+        for i, mag in enumerate(self.MAGS):
+            one = measurement_quadratic(scaled, FM, float(mag), WAVELENGTH)
+            assert quad.kk == one.kk
+            assert quad.kp[i] == pytest.approx(one.kp, rel=1e-15)
+            assert quad.pp[i] == pytest.approx(one.pp, rel=1e-15)
+            assert theta[i] == pytest.approx(tilt_angle(one), abs=1e-12)
+            assert (major[i], minor[i]) == pytest.approx(principal_widths(one), rel=1e-14)
+
+    def test_scalar_gives_python_floats(self, paper_dg):
+        quad = measurement_quadratic(paper_scaled(paper_dg), FM, -0.5, WAVELENGTH)
+        assert all(type(v) is float for v in (quad.kk, quad.kp, quad.pp, tilt_angle(quad)))
+        assert all(type(v) is float for v in principal_widths(quad))
+        assert type(principal_angle_deg(200.0)) is float
+
+    def test_isotropic_form_gives_nan_in_array(self):
+        theta = tilt_from_form(1e-3, np.array([0.0, 0.0, 0.0]), np.array([1e-3, 5e-3, 2e-4]))
+        assert math.isnan(theta[0])
+        assert theta[1:] == pytest.approx([90.0, 0.0])
+
+    def test_principal_angle_reduction(self):
+        angles = np.array([-270.0, -180.0, -90.0, -89.5, 0.0, 90.0, 90.5, 180.0, 270.0, 450.0])
+        expected = [90.0, 0.0, 90.0, -89.5, 0.0, 90.0, -89.5, 0.0, 90.0, 90.0]
+        assert principal_angle_deg(angles) == pytest.approx(expected, abs=1e-12)
+        assert [principal_angle_deg(float(a)) for a in angles] == pytest.approx(expected, abs=1e-12)
+
+    def test_any_zero_magnification_rejected(self, paper_dg):
+        with pytest.raises(DomainError):
+            measurement_quadratic(paper_scaled(paper_dg), FM, np.array([-0.5, 0.0, 1.0]), WAVELENGTH)
+
+    def test_minor_eigenvalue_is_stable(self):
+        # eigenvalues 1e6 and 1e-6: a difference of nearly equal terms would
+        # keep only about four digits of the small one
+        major, minor = principal_widths(MeasurementQuadratic(1e6, 0.0, 1e-6, 1.0, 0.0))
+        assert major == pytest.approx(1.0 / math.sqrt(2e-6), rel=1e-14)
+        assert minor == pytest.approx(1.0 / math.sqrt(2e6), rel=1e-14)

@@ -217,12 +217,6 @@ class TestStateStructure:
         skew = GaussianBiphotonState.from_quadratic(1e-4, 2e-4, 0.0, WAVELENGTH)
         assert not skew.is_exchange_symmetric()
 
-    def test_renormalized_restores_unit_norm(self, paper_dg):
-        state = dg_state(paper_dg, WAVELENGTH)
-        bumped = GaussianBiphotonState(state.m11, state.m22, state.m12, state.log_norm + 0.3, WAVELENGTH)
-        assert bumped.norm() != pytest.approx(1.0, abs=1e-3)
-        assert bumped.renormalized().norm() == pytest.approx(1.0, abs=1e-12)
-
     def test_photon_index_validated(self, paper_dg):
         state = dg_state(paper_dg, WAVELENGTH)
         with pytest.raises(DomainError):
