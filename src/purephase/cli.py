@@ -1,10 +1,10 @@
 """Command line front end: calibrate, predict, simulate, estimate, clean,
 fit, sweep, report.
 
-Every command is deterministic for a fixed (config, seed) and composes with
-the others through files in the output directory.  PUREPHASE_THREADS caps the
-BLAS/FFT thread pools; it must be honoured before numpy loads, which is why
-the heavy imports happen inside main().
+Every command is deterministic for a fixed (config, seed).  The stage verbs
+compose through files in the output directory; sweep chains the same stages
+in memory.  PUREPHASE_THREADS caps the BLAS/FFT thread pools; it must be
+honoured before numpy loads, which is why the heavy imports happen in main().
 """
 from __future__ import annotations
 

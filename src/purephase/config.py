@@ -3,8 +3,8 @@
 Every physical and pipeline parameter lives here; unknown keys are rejected
 so typos fail loudly.  Values default to the reference experiment: 286/13 um
 source widths, 810 nm photons, 10/15/12.5 cm preparation lenses and a 15 cm
-Fourier lens.  All artifacts carry a hash of the effective configuration so
-re-runs are checkable byte for byte.
+Fourier lens.  All artifacts carry a hash of the effective configuration
+(the output directory left out) so re-runs are checkable byte for byte.
 """
 from __future__ import annotations
 
@@ -88,8 +88,11 @@ class RunConfig:
         return self.sigma_plus_um
 
     def canonical_items(self) -> list[tuple[str, str]]:
+        """Sorted (key, value) strings of every field but out_dir, which moves no result."""
         items = []
         for field in dataclasses.fields(self):
+            if field.name == "out_dir":
+                continue
             value = getattr(self, field.name)
             if isinstance(value, tuple):
                 value = ",".join(repr(float(v)) for v in value)
@@ -101,28 +104,20 @@ class RunConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-_FLOAT_FIELDS = {
-    f.name
-    for f in dataclasses.fields(RunConfig)
-    if f.type == "float"
-}
-_INT_FIELDS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "int"}
+# how each key's raw string becomes its value
+_PARSERS = {f.name: {"float": float, "int": int}.get(f.type, str) for f in dataclasses.fields(RunConfig)}
+_PARSERS["magnifications"] = lambda raw: tuple(float(p) for p in raw.replace(";", ",").split(",") if p.strip())
 
 
 def _coerce(key: str, raw: str):
-    if key == "magnifications":
-        parts = [p for p in raw.replace(";", ",").split(",") if p.strip()]
-        return tuple(float(p) for p in parts)
-    if key in _FLOAT_FIELDS:
-        return float(raw)
-    if key in _INT_FIELDS:
-        return int(raw)
-    return raw
+    try:
+        return _PARSERS[key](raw)
+    except ValueError:
+        raise DomainError(f"invalid value for {key!r}: {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
     """Read key=value lines; '#' starts a comment; unknown keys are rejected."""
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -133,9 +128,12 @@ def parse_config_file(path) -> dict:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
             key, _, raw = body.partition("=")
             key = key.strip()
-            if key not in known:
+            if key not in _PARSERS:
                 raise DomainError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+            try:
+                values[key] = _coerce(key, raw.strip())
+            except DomainError as exc:
+                raise DomainError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .optics import _target_axes
 from .states import DomainError, GaussianBiphotonState
 
 __all__ = ["GridSpec", "GridState", "discretize", "auto_grid_spec", "fft_fresnel", "grid_pft"]
@@ -236,13 +237,6 @@ def discretize(state: GaussianBiphotonState, spec: GridSpec) -> GridState:
 
 def _axis_freq(n: int, dx: float) -> np.ndarray:
     return 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-
-
-def _target_axes(target: str) -> tuple[int, ...]:
-    axes = {"photon1": (0,), "photon2": (1,), "both": (0, 1)}.get(target)
-    if axes is None:
-        raise DomainError(f"target must be photon1, photon2 or both, got {target!r}")
-    return axes
 
 
 def _along(vector: np.ndarray, axis: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Batch pipeline behind the CLI verbs.
 
-Each command reads its inputs from files in the output directory (or from the
-configuration alone) and writes CSV/PGM/PPF1/key=value artifacts, so deleting
-intermediates and re-running regenerates byte-identical results for a fixed
-configuration and seed.
+Each magnification passes through four stages (simulate, estimate, clean,
+fit); each stage writes its CSV/PGM/PPF1/key=value artifacts and returns its
+result.  The single-stage verbs compose through files: each reads the
+previous stage's artifact from the output directory.  ``sweep`` chains the
+same stages in memory, one magnification at a time, and writes the same
+artifacts.  Deleting intermediates and re-running regenerates byte-identical
+results for a fixed configuration and seed.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .estimation import (
     estimate_density,
 )
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
-from .frames import DetectorConfig, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
+from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
 from .states import (
     DGParams,
@@ -111,27 +114,26 @@ def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _write_report(cfg: RunConfig, name: str, items: dict) -> str:
-    path = _out(cfg, name)
-    with open(path, "w") as fh:
+def _write_report(cfg: RunConfig, name: str, items: dict) -> None:
+    with open(_out(cfg, name), "w") as fh:
         fh.write(f"config_hash={cfg.config_hash()}\n")
         for key, value in items.items():
             fh.write(f"{key}={value}\n")
-    return path
 
 
-def _write_table(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> str:
-    path = _out(cfg, name)
-    with open(path, "w") as fh:
+def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> None:
+    with open(_out(cfg, name), "w") as fh:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
-    return path
 
 
-def _density_meta(cfg: RunConfig) -> dict:
-    return {"config_hash": cfg.config_hash()}
+def _write_density(cfg: RunConfig, dens: Density2D, name: str) -> Density2D:
+    """Write <name>.csv (the exact artifact) and its <name>.pgm preview; return dens."""
+    write_density_csv(dens, _out(cfg, f"{name}.csv"), {"config_hash": cfg.config_hash()})
+    write_density_pgm(dens, _out(cfg, f"{name}.pgm"))
+    return dens
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +161,8 @@ def cmd_calibrate(cfg: RunConfig) -> dict:
     sm_hat = calibrate_sigma_minus(lags, acorr, near_det.pixel_pitch)
     sp_hat = calibrate_sigma_plus(coords, aconv, far_det.pixel_pitch, far.metadata["farfield_scale"])
 
-    _write_table(cfg, "calibrate_autocorr.csv", ["lag_um", "signal"], list(map(list, zip(lags, acorr))))
-    _write_table(cfg, "calibrate_autoconv.csv", ["sum_um", "signal"], list(map(list, zip(coords, aconv))))
+    _write_table(cfg, "calibrate_autocorr.csv", ["lag_um", "signal"], zip(lags, acorr))
+    _write_table(cfg, "calibrate_autoconv.csv", ["sum_um", "signal"], zip(coords, aconv))
 
     est = DGParams(sp_hat, sm_hat)
     pp_est = pure_phase_params(est)
@@ -195,121 +197,111 @@ def cmd_predict(cfg: RunConfig) -> dict:
     theta = tilt_angle(quad)
     major, minor = principal_widths(quad)
     columns = (cfg.magnifications, theta, abs(theta), np.full_like(theta, quad.kk), quad.kp, quad.pp, major, minor)
-    rows = [list(row) for row in zip(*columns)]
     for mag in cfg.magnifications:
         mag_quad = quad_for(cfg, mag)
         pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(mag_quad, cfg.arm_width_px)
-        dens = _rasterize(mag_quad, pitch, cfg.arm_width_px)
-        tag = _mag_tag(mag)
-        write_density_csv(dens, _out(cfg, f"predict_rho_{tag}.csv"), _density_meta(cfg))
-        write_density_pgm(dens, _out(cfg, f"predict_rho_{tag}.pgm"))
+        _write_density(cfg, _rasterize(mag_quad, pitch, cfg.arm_width_px), f"predict_rho_{_mag_tag(mag)}")
     _write_table(
         cfg,
         "predict_tilt.csv",
         ["magnification", "theta_deg", "abs_theta_deg", "kk", "kp", "pp", "sigma_major_um", "sigma_minor_um"],
-        rows,
+        zip(*columns),
     )
-    return {"rows": rows}
+    return {}
+
+
+# ---------------------------------------------------------------------------
+# per-magnification stages: each writes its verb's artifacts and returns its result
+
+
+def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
+    quad = quad_for(cfg, mag)
+    det = _detector_for(cfg, quad, cfg.seed ^ ((index + 1) * _SEED_MAG_STRIDE))
+    stack = synthesize_frames(quad, det, cfg.frames)
+    stack.metadata.update(
+        magnification=mag,
+        fourier_focal_um=cfg.fm_um,
+        wavelength_um=cfg.wavelength_um,
+        theta_pred_deg=tilt_angle(quad),
+        config_hash=cfg.config_hash(),
+    )
+    write_framestack(stack, _out(cfg, f"frames_{_mag_tag(mag)}.ppf"))
+    return stack
+
+
+def _estimate(cfg: RunConfig, mag: float, stack: FrameStack) -> Density2D:
+    return _write_density(cfg, estimate_density(stack), f"density_{_mag_tag(mag)}")
+
+
+def _clean(cfg: RunConfig, mag: float, dens: Density2D) -> Density2D:
+    return _write_density(cfg, clean_density(dens, _cleaning(cfg)), f"cleaned_{_mag_tag(mag)}")
+
+
+_FIT_COLUMNS = [
+    "magnification", "theta_fit_deg", "abs_theta_fit_deg", "theta_pred_deg", "sigma_major_um", "sigma_minor_um", "residual_rms",
+]
+
+
+def _fit(cfg: RunConfig, mag: float, dens: Density2D, source: str) -> list:
+    """Fit one density, write fit_<tag>.txt naming its source file, and return the fits.csv row."""
+    fit = fit_gaussian_2d(dens)
+    major, minor = fit.widths
+    items = {
+        "magnification": mag,
+        "theta_fit_deg": fit.theta_deg,
+        "abs_theta_fit_deg": abs(fit.theta_deg),
+        "theta_pred_deg": tilt_angle(quad_for(cfg, mag)),
+        "sigma_major_um": major,
+        "sigma_minor_um": minor,
+        "center_k_um": fit.center_k,
+        "center_p_um": fit.center_p,
+        "amplitude": fit.amplitude,
+        "offset": fit.offset,
+        "residual_rms": fit.residual_rms,
+        "source": source,
+    }
+    _write_report(cfg, f"fit_{_mag_tag(mag)}.txt", items)
+    return [items[key] for key in _FIT_COLUMNS]
 
 
 def cmd_simulate(cfg: RunConfig) -> dict:
     """Synthesize measurement frame stacks, one PPF1 file per magnification."""
-    written = []
     for i, mag in enumerate(cfg.magnifications):
-        quad = quad_for(cfg, mag)
-        det = _detector_for(cfg, quad, cfg.seed ^ ((i + 1) * _SEED_MAG_STRIDE))
-        stack = synthesize_frames(quad, det, cfg.frames)
-        stack.metadata.update(
-            magnification=mag,
-            fourier_focal_um=cfg.fm_um,
-            wavelength_um=cfg.wavelength_um,
-            theta_pred_deg=tilt_angle(quad),
-            config_hash=cfg.config_hash(),
-        )
-        path = _out(cfg, f"frames_{_mag_tag(mag)}.ppf")
-        write_framestack(stack, path)
-        written.append(path)
-    return {"files": written}
+        _simulate(cfg, i, mag)
+    return {}
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
     """Cross-frame density estimates from the simulated stacks."""
-    written = []
     for mag in cfg.magnifications:
-        tag = _mag_tag(mag)
-        stack = read_framestack(_out(cfg, f"frames_{tag}.ppf"))
-        dens = estimate_density(stack)
-        write_density_csv(dens, _out(cfg, f"density_{tag}.csv"), _density_meta(cfg))
-        write_density_pgm(dens, _out(cfg, f"density_{tag}.pgm"))
-        written.append(tag)
-    return {"tags": written}
+        _estimate(cfg, mag, read_framestack(_out(cfg, f"frames_{_mag_tag(mag)}.ppf")))
+    return {}
 
 
 def cmd_clean(cfg: RunConfig) -> dict:
     """Statistical cleaning of every estimated density."""
-    cleaning = _cleaning(cfg)
-    written = []
     for mag in cfg.magnifications:
-        tag = _mag_tag(mag)
-        dens = read_density_csv(_out(cfg, f"density_{tag}.csv"))
-        cleaned = clean_density(dens, cleaning)
-        write_density_csv(cleaned, _out(cfg, f"cleaned_{tag}.csv"), _density_meta(cfg))
-        write_density_pgm(cleaned, _out(cfg, f"cleaned_{tag}.pgm"))
-        written.append(tag)
-    return {"tags": written}
+        _clean(cfg, mag, read_density_csv(_out(cfg, f"density_{_mag_tag(mag)}.csv")))
+    return {}
 
 
 def cmd_fit(cfg: RunConfig) -> dict:
-    """2D Gaussian fits of the cleaned (or raw) densities."""
+    """2D Gaussian fits of the cleaned densities, or of the raw ones where none is cleaned."""
     rows = []
     for mag in cfg.magnifications:
         tag = _mag_tag(mag)
         path = _out(cfg, f"cleaned_{tag}.csv")
         if not os.path.exists(path):
             path = _out(cfg, f"density_{tag}.csv")
-        dens = read_density_csv(path)
-        fit = fit_gaussian_2d(dens)
-        theta_pred = tilt_angle(quad_for(cfg, mag))
-        major, minor = fit.widths
-        rows.append([mag, fit.theta_deg, abs(fit.theta_deg), theta_pred, major, minor, fit.residual_rms])
-        _write_report(
-            cfg,
-            f"fit_{tag}.txt",
-            {
-                "magnification": mag,
-                "theta_fit_deg": fit.theta_deg,
-                "abs_theta_fit_deg": abs(fit.theta_deg),
-                "theta_pred_deg": theta_pred,
-                "sigma_major_um": major,
-                "sigma_minor_um": minor,
-                "center_k_um": fit.center_k,
-                "center_p_um": fit.center_p,
-                "amplitude": fit.amplitude,
-                "offset": fit.offset,
-                "residual_rms": fit.residual_rms,
-                "source": os.path.basename(path),
-            },
-        )
-    _write_table(
-        cfg,
-        "fits.csv",
-        ["magnification", "theta_fit_deg", "abs_theta_fit_deg", "theta_pred_deg", "sigma_major_um", "sigma_minor_um", "residual_rms"],
-        rows,
-    )
-    return {"rows": rows}
+        rows.append(_fit(cfg, mag, read_density_csv(path), os.path.basename(path)))
+    _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
+    return {}
 
 
-def cmd_sweep(cfg: RunConfig) -> dict:
-    """Full simulate -> estimate -> clean -> fit chain plus the magnification fit.
-
-    Returns the sweep report's items and cmd_fit's per-magnification rows.
-    """
-    cmd_simulate(cfg)
-    cmd_estimate(cfg)
-    cmd_clean(cfg)
-    fit_info = cmd_fit(cfg)
+def _write_sweep_report(cfg: RunConfig, rows: list[list]) -> dict:
+    """Fit mag_eff to the fits.csv rows' (magnification, theta_fit_deg) and write sweep_report.txt."""
     design = prep_design(cfg)
-    points = [(row[0], row[1]) for row in fit_info["rows"]]
+    points = [(row[0], row[1]) for row in rows]
     mag_fit, residuals = fit_magnification_curve(
         points, pure_phase_params(source_params(cfg)), cfg.fm_um, cfg.wavelength_um, design.mag_eff
     )
@@ -321,7 +313,22 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         "residual_rms_deg": float(np.sqrt(np.mean(residuals**2))),
     }
     _write_report(cfg, "sweep_report.txt", items)
-    return {**items, "rows": fit_info["rows"]}
+    return items
+
+
+def cmd_sweep(cfg: RunConfig) -> dict:
+    """The four stages per magnification in memory, then the magnification fit.
+
+    Writes what simulate -> estimate -> clean -> fit write and reads none of
+    it back.  Returns the sweep report's items and the fits.csv rows.
+    """
+    rows = []
+    for i, mag in enumerate(cfg.magnifications):
+        # nested, so each stack is freed once its density is estimated
+        dens = _clean(cfg, mag, _estimate(cfg, mag, _simulate(cfg, i, mag)))
+        rows.append(_fit(cfg, mag, dens, f"cleaned_{_mag_tag(mag)}.csv"))
+    _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
+    return {**_write_sweep_report(cfg, rows), "rows": rows}
 
 
 def cmd_report(cfg: RunConfig) -> dict:

@@ -199,7 +199,7 @@ class GaussianBiphotonState:
     def position_covariance(self) -> np.ndarray:
         """Covariance of (x1, x2) under |psi|^2, i.e. (2 W)^-1."""
         w = self.intensity_form
-        det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+        det_w = _intensity_det(self.m11, self.m22, self.m12)
         return np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]]) / (2.0 * det_w)
 
     def momentum_covariance(self) -> np.ndarray:
@@ -313,7 +313,7 @@ def fedorov_ratio(state: GaussianBiphotonState) -> float:
     remain and the entanglement lives purely in the phase.
     """
     w = state.intensity_form
-    det_w = w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0]
+    det_w = _intensity_det(state.m11, state.m22, state.m12)
     if det_w <= 0.0 or w[0, 0] <= 0.0:
         raise DomainError("degenerate intensity form; Fedorov ratio undefined")
     return math.sqrt(w[0, 0] * w[1, 1] / det_w)

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import pytest
 
+import purephase.pipeline as pl
 from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
+from purephase.density import read_density_csv
+from purephase.fitting import fit_gaussian_2d
 from purephase.states import DomainError
 
 pytestmark = pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
@@ -69,6 +72,9 @@ class TestConfig:
         b = RunConfig(seed=99)
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == RunConfig().config_hash()
+
+    def test_hash_ignores_out_dir(self):
+        assert RunConfig(out_dir="a").config_hash() == RunConfig(out_dir="b").config_hash()
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +164,55 @@ class TestCliEndToEnd:
             assert (out / f"predict_rho_{tag}.pgm").exists()
 
 
+class TestSweepStages:
+    def test_sweep_matches_verb_chain_without_read_back(self, tmp_path, monkeypatch):
+        chain = RunConfig(out_dir=str(tmp_path / "chain"), **SMOKE)
+        for command in (pl.cmd_simulate, pl.cmd_estimate, pl.cmd_clean, pl.cmd_fit):
+            command(chain)
+        with open(tmp_path / "chain" / "fits.csv") as fh:
+            rows = [[float(v) for v in line.split(",")] for line in fh if not line.startswith(("#", "magnification"))]
+        pl._write_sweep_report(chain, rows)
+
+        def no_read_back(path):
+            raise AssertionError(f"sweep read back {path}")
+
+        monkeypatch.setattr(pl, "read_framestack", no_read_back)
+        monkeypatch.setattr(pl, "read_density_csv", no_read_back)
+        sweep = pl.cmd_sweep(RunConfig(out_dir=str(tmp_path / "sweep"), **SMOKE))
+        assert len(sweep["rows"]) == len(SMOKE["magnifications"])
+        names = sorted(os.listdir(tmp_path / "chain"))
+        assert names == sorted(os.listdir(tmp_path / "sweep"))
+        assert len(names) == 7 * len(SMOKE["magnifications"]) + 2  # 7 per magnification, fits.csv, sweep report
+        for name in names:
+            assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes(), name
+
+    def test_fit_without_clean_fits_raw_density(self, tmp_path):
+        cfg = RunConfig(out_dir=str(tmp_path), frames=1500, magnifications=(1.0,))
+        pl.cmd_simulate(cfg)
+        pl.cmd_estimate(cfg)
+        pl.cmd_fit(cfg)
+        report = dict(line.split("=", 1) for line in (tmp_path / "fit_m+1.00.txt").read_text().splitlines())
+        assert report["source"] == "density_m+1.00.csv"
+        fit = fit_gaussian_2d(read_density_csv(tmp_path / "density_m+1.00.csv"))
+        assert report["theta_fit_deg"] == str(fit.theta_deg)
+        assert not (tmp_path / "cleaned_m+1.00.csv").exists()
+
+
 class TestCliErrors:
+    def test_malformed_file_value(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=3\nframes=abc\n")
+        assert cli.main(["predict", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"{cfg}:2:" in err and "'frames'" in err
+
+    def test_malformed_mag_override(self, tmp_path, capsys):
+        assert cli.main(["predict", "--out", str(tmp_path), "--mag=0.5,x"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "'magnifications'" in err
+
     def test_empty_magnifications_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("magnifications=\n")
