@@ -80,8 +80,8 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
     for key in items:
         lines.append(f"# {key}={items[key]}")
     lines.append(",".join([f"{density.k_name}\\{density.p_name}"] + [_fmt(v) for v in density.p_axis]))
-    for i, row in enumerate(density.values):
-        lines.append(",".join([_fmt(density.k_axis[i])] + [_fmt(v) for v in row]))
+    for k, row in zip(density.k_axis.tolist(), np.asarray(density.values, dtype=float).tolist()):
+        lines.append(",".join(map(repr, [k] + row)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

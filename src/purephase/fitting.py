@@ -1,9 +1,13 @@
 """Gaussian model fits: 1D profiles, tilted 2D Gaussians, and the net
 magnification fit of the tilt-vs-magnification curve.
 
-All fits are damped least squares (MINPACK Levenberg-Marquardt via scipy)
-seeded from image moments, with a bounded iteration budget; non-convergence
-and degenerate inputs raise :class:`FitError` instead of returning garbage.
+All fits are damped least squares (Levenberg-Marquardt) seeded from moments,
+with a bounded evaluation budget; non-convergence and degenerate inputs raise
+:class:`FitError` instead of returning garbage.  The 1D and magnification fits
+hand their model to MINPACK through scipy.  The 2D fit runs its own loop on
+the 7x7 normal equations, which it builds from separable moments of the model
+on the density's grid, so the 65536x7 Jacobian of a 256^2 density is never
+formed and no model evaluation goes to finite differences.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ __all__ = [
 
 _MAX_ITER = 200
 _XTOL = 1e-8
+_STEP_FACTOR = 100.0  # initial trust radius, in units of ||D x0|| (MINPACK's factor)
 
 
 class FitError(RuntimeError):
@@ -101,7 +106,6 @@ class GaussianFit2D:
     pp: float
     offset: float
     residual_rms: float
-    param_cov: np.ndarray
 
     def __post_init__(self):
         if not (self.kk > 0.0 and self.pp > 0.0 and self.kk * self.pp > self.kp**2):
@@ -140,41 +144,183 @@ def moment_estimate(density: Density2D) -> tuple[float, float, float, float, flo
     return float(vals.max()), ck, cp, float(kk), float(kp), float(pp)
 
 
+_EXP_ZERO = -746.0  # exp(x) rounds to 0.0 for every x below -745.14
+
+
 def _gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset):
     k, p = coords
     dk = k - ck
     dp = p - cp
-    return amplitude * np.exp(-(kk * dk * dk + 2.0 * kp * dk * dp + pp * dp * dp)) + offset
+    neg_q = -(kk * dk * dk + 2.0 * kp * dk * dp + pp * dp * dp)
+    # exp is exactly 0 below _EXP_ZERO; skipping those points spares numpy's
+    # slow path for arguments under the normal range, and changes no value
+    e = np.exp(neg_q, out=np.zeros(np.shape(neg_q)), where=~(neg_q <= _EXP_ZERO))
+    e *= amplitude
+    e += offset
+    return e
+
+
+# Exponents (a, b) of the monomials dk^a dp^b, in the order 1, dk, dp, dk^2,
+# dk*dp, dp^2, that the first six Jacobian columns of _gauss2d are built from.
+_MONO_K = np.array([0, 1, 0, 2, 1, 0])
+_MONO_P = np.array([0, 0, 1, 0, 1, 2])
+
+
+def _normal_equations(k, p, params, e, r) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r of _gauss2d at ``params`` on the grid k x p.
+
+    ``e`` is the unit Gaussian exp(-Q) on the grid and ``r`` the residual.
+    Column j < 6 of J is e times a polynomial sum_m c[m, j] * mono_m of degree
+    <= 2 in dk = k - ck and dp = p - cp, and column 6 (the offset) is ones, so
+    every entry is a combination of the separable moments sum e^2 dk^a dp^b
+    (a + b <= 4) and sum e dk^a dp^b, sum e r dk^a dp^b (a + b <= 2).  Those
+    are Vk^T W Vp with Vk = dk^(0..4), and the Jacobian itself is never formed.
+    """
+    amp, ck, cp, kk, kp, pp, _ = params
+    vk = np.vander(k - ck, 5, increasing=True).T
+    vp = np.vander(p - cp, 5, increasing=True)
+    w = e * e
+    m_ee = vk @ (w @ vp)
+    m_e = vk @ (e @ vp)
+    m_er = vk @ (np.multiply(e, r, out=w) @ vp)
+    c = np.diag([1.0, 0.0, 0.0, -amp, -2.0 * amp, -amp])
+    c[1:3, 1:3] = 2.0 * amp * np.array([[kk, kp], [kp, pp]])
+    jtj = np.empty((7, 7))
+    jtj[:6, :6] = c.T @ m_ee[_MONO_K[:, None] + _MONO_K, _MONO_P[:, None] + _MONO_P] @ c
+    jtj[:6, 6] = jtj[6, :6] = c.T @ m_e[_MONO_K, _MONO_P]
+    jtj[6, 6] = e.size
+    jtr = np.append(c.T @ m_er[_MONO_K, _MONO_P], r.sum())
+    return jtj, jtr
+
+
+def _damped_step(a, g, delta, par) -> tuple[float, np.ndarray]:
+    """Damping ``par`` and step z = -(a + par I)^-1 g for a trust radius ``delta``.
+
+    Moré's rule (MINPACK's lmpar) in the scaled variables: the Gauss-Newton
+    step (par = 0) if it is no longer than 1.1 * delta, else the par that puts
+    ||z|| within 10% of delta, found by safeguarded Newton iterations started
+    from the previous ``par``.  ``a`` is symmetric positive semidefinite, so
+    its eigenvectors give ||z(par)|| in closed form.
+    """
+    lam, vec = np.linalg.eigh(a)
+    lam = np.maximum(lam, 0.0)
+    gv = vec.T @ g
+
+    def coeffs(par):
+        den = lam + par
+        # a direction with no curvature gets no Gauss-Newton component
+        return np.divide(gv, den, out=np.zeros(7), where=den > 0.0)
+
+    c = coeffs(0.0)
+    znorm = np.linalg.norm(c)
+    excess = znorm - delta
+    if excess <= 0.1 * delta:
+        return 0.0, -(vec @ c)
+    full_rank = lam[0] > lam[-1] * 7 * np.finfo(float).eps
+    par_lo = excess / delta * znorm**2 / np.sum(gv**2 / lam**3) if full_rank else 0.0
+    gnorm = np.linalg.norm(g)
+    par_hi = gnorm / delta or np.finfo(float).tiny / min(delta, 0.1)
+    par = min(max(par, par_lo), par_hi) or gnorm / znorm
+    for it in range(10):
+        if par == 0.0:
+            par = max(np.finfo(float).tiny, 0.001 * par_hi)
+        c = coeffs(par)
+        znorm = np.linalg.norm(c)
+        last, excess = excess, znorm - delta
+        if abs(excess) <= 0.1 * delta or (par_lo == 0.0 and last < 0.0 and excess <= last) or it == 9:
+            break
+        if excess > 0.0:
+            par_lo = max(par_lo, par)
+        else:
+            par_hi = min(par_hi, par)
+        par = max(par_lo, par + excess / delta * znorm**2 / np.sum(gv**2 / (lam + par) ** 3))
+    return par, -(vec @ c)
 
 
 def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
-    """Seven-parameter tilted Gaussian fit, seeded from image moments."""
+    """Seven-parameter tilted Gaussian fit, seeded from image moments.
+
+    Levenberg-Marquardt with MINPACK's trust-region rules (lmder: Moré,
+    "The Levenberg-Marquardt algorithm: implementation and theory", 1978) on
+    the 7x7 normal equations of :func:`_normal_equations`.  The variables are
+    scaled by D, the running maximum of sqrt(diag(J^T J)).  The fit stops once
+    ||D step|| <= _XTOL ||D x|| and raises :class:`FitError` after
+    _MAX_ITER * 10 model evaluations.
+    """
     vals = density.values
-    k = np.broadcast_to(density.k_axis[:, None], vals.shape).ravel()
-    p = np.broadcast_to(density.p_axis[None, :], vals.shape).ravel()
-    y = vals.ravel()
+    if not np.isfinite(vals).all():
+        raise FitError("density contains non-finite values")
     if init is None:
         amp0, ck0, cp0, kk0, kp0, pp0 = moment_estimate(density)
-        init = (amp0, ck0, cp0, kk0, kp0, pp0, float(np.median(y)))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", optimize.OptimizeWarning)
-            popt, pcov = optimize.curve_fit(
-                _gauss2d,
-                (k, p),
-                y,
-                p0=init,
-                xtol=_XTOL,
-                maxfev=_MAX_ITER * 10,
-            )
-    except RuntimeError as exc:
-        raise FitError(f"2D Gaussian fit did not converge: {exc}") from exc
-    amplitude, ck, cp, kk, kp, pp, offset = popt
-    model = _gauss2d((k, p), *popt)
-    rms = float(np.sqrt(np.mean((model - y) ** 2)))
+        init = (amp0, ck0, cp0, kk0, kp0, pp0, float(np.median(vals)))
+    k, p = density.k_axis, density.p_axis
+    grid = (k[:, None], p[None, :])
+
+    def evaluate(x, r):
+        """Unit Gaussian at x, with the residual written into r (two buffers
+        alternate, since fresh 256^2 temporaries cost page faults each step)."""
+        e = _gauss2d(grid, 1.0, *x[1:6], 0.0)
+        np.multiply(e, x[0], out=r)
+        r += x[6]
+        r -= vals
+        return e, math.sqrt(float(np.vdot(r, r)))
+
+    x = np.array(init, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, r_t = np.empty(vals.shape), np.empty(vals.shape)
+        e, rnorm = evaluate(x, r)
+        if not math.isfinite(rnorm):
+            raise FitError("2D Gaussian fit did not converge: the initial model is not finite")
+        nfev, par, scale, moved = 1, 0.0, None, True
+        while True:
+            if moved:
+                jtj, jtr = _normal_equations(k, p, x, e, r)
+                if not np.any(jtr):
+                    break
+                norms = np.sqrt(np.diag(jtj))
+                if scale is None:
+                    scale = np.where(norms > 0.0, norms, 1.0)
+                    delta = _STEP_FACTOR * (float(np.linalg.norm(scale * x)) or 1.0)
+                scale = np.maximum(scale, norms)
+                a, g = jtj / np.outer(scale, scale), jtr / scale
+            par, z = _damped_step(a, g, delta, par)
+            step = z / scale
+            znorm = float(np.linalg.norm(z))
+            if nfev == 1:
+                delta = min(delta, znorm)
+            e_t, rnorm_t = evaluate(x + step, r_t)
+            nfev += 1
+            # actual and predicted reductions of |r|^2, relative to |r|^2
+            actual = 1.0 - (rnorm_t / rnorm) ** 2 if 0.1 * rnorm_t < rnorm else -1.0
+            gauss_newton = float(step @ jtj @ step) / rnorm**2
+            damping = par * znorm**2 / rnorm**2
+            predicted = gauss_newton + 2.0 * damping
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            if ratio <= 0.25:
+                slope = -(gauss_newton + damping)
+                shrink = 0.5 if actual >= 0.0 else 0.5 * slope / (slope + 0.5 * actual)
+                if 0.1 * rnorm_t >= rnorm or shrink < 0.1:
+                    shrink = 0.1
+                delta = shrink * min(delta, 10.0 * znorm)
+                par /= shrink
+            elif par == 0.0 or ratio >= 0.75:
+                delta = 2.0 * znorm
+                par *= 0.5
+            moved = ratio >= 1e-4
+            if moved:
+                x, e, rnorm = x + step, e_t, rnorm_t
+                r, r_t = r_t, r
+            if znorm <= _XTOL * np.linalg.norm(scale * x):
+                break
+            if nfev >= _MAX_ITER * 10:
+                raise FitError(
+                    f"2D Gaussian fit did not converge: {nfev} model evaluations "
+                    f"without a step below xtol={_XTOL:g}"
+                )
+    amplitude, ck, cp, kk, kp, pp, offset = x
     return GaussianFit2D(
-        float(amplitude), float(ck), float(cp), float(kk), float(kp), float(pp),
-        float(offset), rms, pcov,
+        float(amplitude), float(ck), float(cp), float(kk), float(kp), float(pp), float(offset),
+        rnorm / math.sqrt(r.size),
     )
 
 

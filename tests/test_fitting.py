@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from purephase import fitting
 from purephase.density import Density2D
 from purephase.fitting import (
     FitError,
@@ -11,7 +13,7 @@ from purephase.fitting import (
     fit_magnification_curve,
     moment_estimate,
 )
-from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
+from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle, tilt_from_form
 from purephase.states import phase_plane_distance, pure_phase_params
 from conftest import WAVELENGTH
 
@@ -32,6 +34,33 @@ def paper_quad(paper_dg, mag):
     design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
     scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
     return measurement_quadratic(scaled, FM, mag, WAVELENGTH)
+
+
+def auto_pitch(quad):
+    cov = quad.covariance
+    return max(math.sqrt(max(cov[0, 0], cov[1, 1])) * 9.0 / 256.0, 1.0)
+
+
+def reference_density(paper_dg, rng):
+    return rasterized(paper_quad(paper_dg, -0.5), pitch=14.0, noise=0.003, rng=rng)
+
+
+def explicit_jacobian(coords, amplitude, ck, cp, kk, kp, pp, offset):
+    """The seven analytic Jacobian columns of _gauss2d, one row per point."""
+    k, p = coords
+    dk, dp = k - ck, p - cp
+    e = np.exp(-(kk * dk * dk + 2.0 * kp * dk * dp + pp * dp * dp))
+    ae = amplitude * e
+    cols = (
+        e,
+        2.0 * ae * (kk * dk + kp * dp),
+        2.0 * ae * (kp * dk + pp * dp),
+        -ae * dk * dk,
+        -2.0 * ae * dk * dp,
+        -ae * dp * dp,
+        np.ones_like(e),
+    )
+    return np.stack(cols, axis=-1)
 
 
 class TestFit1D:
@@ -121,6 +150,112 @@ class TestFit2D:
         fit_major, fit_minor = fit.widths
         assert fit_major == pytest.approx(major, rel=1e-2)
         assert fit_minor == pytest.approx(minor, rel=2e-2)
+
+
+class TestNormalEquations:
+    # non-square grid with unequal pitches; the peak sits off its centre
+    K_AXIS = -300.0 + 7.0 * np.arange(96)
+    P_AXIS = -250.0 + 11.0 * np.arange(64)
+
+    @property
+    def grid(self):
+        return np.meshgrid(self.K_AXIS, self.P_AXIS, indexing="ij")
+
+    @staticmethod
+    def random_params(rng):
+        s_major, s_minor = rng.uniform(60.0, 120.0), rng.uniform(15.0, 40.0)
+        angle = rng.uniform(0.0, math.pi)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        form = rot @ np.diag([0.5 / s_major**2, 0.5 / s_minor**2]) @ rot.T
+        return np.array([
+            rng.uniform(0.5, 2.0), rng.uniform(20.0, 80.0), rng.uniform(60.0, 140.0),
+            form[0, 0], form[0, 1], form[1, 1], rng.uniform(0.05, 0.2),
+        ])
+
+    def test_jacobian_columns_match_central_differences(self, rng):
+        coords = self.grid
+        for _ in range(5):
+            x = self.random_params(rng)
+            jac = explicit_jacobian(coords, *x)
+            for j in range(7):
+                h = 1e-6 * abs(x[j])
+                up, down = x.copy(), x.copy()
+                up[j] += h
+                down[j] -= h
+                numeric = (fitting._gauss2d(coords, *up) - fitting._gauss2d(coords, *down)) / (2.0 * h)
+                err = np.linalg.norm(numeric - jac[..., j]) / np.linalg.norm(jac[..., j])
+                assert err < 1e-7, (j, err)
+
+    def test_moment_sums_match_explicit_products(self, rng):
+        coords = self.grid
+        for _ in range(5):
+            x = self.random_params(rng)
+            e = fitting._gauss2d(coords, 1.0, *x[1:6], 0.0)
+            r = rng.standard_normal(e.shape)
+            jtj, jtr = fitting._normal_equations(self.K_AXIS, self.P_AXIS, x, e, r)
+            jac = explicit_jacobian(coords, *x).reshape(-1, 7)
+            ref_jtj, ref_jtr = jac.T @ jac, jac.T @ r.ravel()
+            # entries relative to their Cauchy-Schwarz bounds |J_i||J_j| and |J_i||r|
+            norms = np.linalg.norm(jac, axis=0)
+            assert np.all(np.abs(jtj - ref_jtj) <= 1e-12 * np.outer(norms, norms))
+            assert np.all(np.abs(jtr - ref_jtr) <= 1e-12 * norms * np.linalg.norm(r))
+
+
+class TestFit2DContract:
+    @staticmethod
+    def curve_fit_reference(density):
+        """MINPACK's fit of the same model from the same seed, with the analytic Jacobian.
+
+        The tolerances are tight because MINPACK's default finite-difference
+        Jacobian stops up to 1e-4 relative short of the minimum on noisy rasters.
+        """
+        vals = density.values
+        coords = tuple(np.meshgrid(density.k_axis, density.p_axis, indexing="ij"))
+        flat = tuple(c.ravel() for c in coords)
+        init = (*moment_estimate(density), float(np.median(vals)))
+        popt, _ = optimize.curve_fit(
+            fitting._gauss2d, flat, vals.ravel(), p0=init,
+            jac=explicit_jacobian, xtol=1e-12, ftol=1e-12,
+        )
+        return popt
+
+    @pytest.mark.parametrize("mag", [-0.5, -1.0, -2.0])
+    def test_matches_curve_fit_reference(self, paper_dg, rng, mag):
+        quad = paper_quad(paper_dg, mag)
+        dens = rasterized(quad, pitch=auto_pitch(quad), noise=0.003, rng=rng)
+        fit = fit_gaussian_2d(dens)
+        ref = self.curve_fit_reference(dens)
+        assert fit.theta_deg == pytest.approx(tilt_from_form(*ref[3:6]), abs=1e-4)
+        np.testing.assert_allclose([fit.kk, fit.kp, fit.pp], ref[3:6], rtol=1e-5)
+
+    def test_exhausted_budget_raises(self, paper_dg, rng, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        with pytest.raises(FitError, match="^2D Gaussian fit did not converge"):
+            fit_gaussian_2d(reference_density(paper_dg, rng))
+
+    def test_model_evaluations_without_scipy(self, paper_dg, rng, monkeypatch):
+        calls = []
+        model = fitting._gauss2d
+
+        def counted(*args):
+            calls.append(1)
+            return model(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the 2D fit must not go through scipy.optimize")
+
+        monkeypatch.setattr(fitting, "_gauss2d", counted)
+        monkeypatch.setattr(optimize, "curve_fit", refuse)
+        monkeypatch.setattr(optimize, "least_squares", refuse)
+        fit_gaussian_2d(reference_density(paper_dg, rng))
+        assert 1 <= len(calls) <= 60
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, paper_dg, rng, bad):
+        dens = reference_density(paper_dg, rng)
+        dens.values[17, 40] = bad
+        with pytest.raises(FitError, match="non-finite"):
+            fit_gaussian_2d(dens)
 
 
 class TestMagnificationFit:
