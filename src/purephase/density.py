@@ -91,7 +91,7 @@ def read_density_csv(path) -> Density2D:
     rows = []
     header = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -101,10 +101,16 @@ def read_density_csv(path) -> Density2D:
                     key, _, val = body.partition("=")
                     meta[key.strip()] = val.strip()
                 continue
+            cells = line.split(",")
             if header is None:
-                header = line  # the x_p coordinates; the axes are read from the metadata
-            else:
-                rows.append([float(c) for c in line.split(",")[1:]])
+                header = cells  # the x_p coordinates; the axes are read from the metadata
+                continue
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"{len(cells)} cells where the header row has {len(header)}")
+                rows.append([float(c) for c in cells[1:]])
+            except ValueError as exc:
+                raise DomainError(f"{path}, line {lineno}: {exc}") from None
     if header is None or not rows:
         raise DomainError(f"no density data in {path}")
     missing = [key for key in _AXIS_KEYS if key not in meta]

@@ -1,22 +1,20 @@
 """Gaussian model fits: 1D profiles, tilted 2D Gaussians, and the net
 magnification fit of the tilt-vs-magnification curve.
 
-All fits are damped least squares (Levenberg-Marquardt) seeded from moments,
-with a bounded evaluation budget; non-convergence and degenerate inputs raise
-:class:`FitError` instead of returning garbage.  The 1D and magnification fits
-hand their model to MINPACK through scipy.  The 2D fit runs its own loop on
-the 7x7 normal equations, which it builds from separable moments of the model
-on the density's grid, so the 65536x7 Jacobian of a 256^2 density is never
-formed and no model evaluation goes to finite differences.
+All fits are damped least squares seeded from moments, run by one
+Levenberg-Marquardt loop with a bounded evaluation budget; non-convergence and
+degenerate inputs raise :class:`FitError` instead of returning garbage.  Each
+fit hands the loop its normal equations: the 1D fit from its analytic
+Jacobian, the magnification fit from a central difference, and the 2D fit from
+separable moments of the model on the density's grid, so the 65536x7 Jacobian
+of a 256^2 density is never formed.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .density import Density2D
 from .optics import measurement_quadratic, principal_angle_deg, principal_widths, tilt_angle, tilt_from_form
@@ -47,11 +45,15 @@ class Fit1D:
     mean: float
     sigma: float
     offset: float
-    residual_rms: float
 
 
-def _gauss1d(x, amplitude, mean, sigma, offset):
-    return amplitude * np.exp(-0.5 * ((x - mean) / sigma) ** 2) + offset
+def _gauss1d_jacobian(x, params) -> np.ndarray:
+    """Jacobian of amplitude * exp(-t^2 / 2) + offset, t = (x - mean) / sigma; column 0 is exp(-t^2 / 2)."""
+    amplitude, mean, sigma, _ = params
+    t = (x - mean) / sigma
+    e = np.exp(-0.5 * t * t)
+    d_mean = amplitude * e * t / sigma
+    return np.stack([e, d_mean, d_mean * t, np.ones_like(e)], axis=1)
 
 
 def fit_gaussian_1d(x, y) -> Fit1D:
@@ -66,32 +68,24 @@ def fit_gaussian_1d(x, y) -> Fit1D:
         raise FitError("profile has no positive peak above the baseline")
     mean0 = float(x[int(np.argmax(y))])
     weights = np.clip(y - offset0, 0.0, None)
-    wsum = weights.sum()
-    if wsum > 0.0:
-        mu = float((x * weights).sum() / wsum)
-        var = float(((x - mu) ** 2 * weights).sum() / wsum)
-        sigma0 = math.sqrt(var) if var > 0 else float(np.ptp(x)) / 10.0
-    else:
-        sigma0 = float(np.ptp(x)) / 10.0
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", optimize.OptimizeWarning)
-            popt, _ = optimize.curve_fit(
-                _gauss1d,
-                x,
-                y,
-                p0=(amp0, mean0, sigma0, offset0),
-                xtol=_XTOL,
-                maxfev=_MAX_ITER * 5,
-            )
-    except RuntimeError as exc:
-        raise FitError(f"1D Gaussian fit did not converge: {exc}") from exc
-    amplitude, mean, sigma, offset = popt
+    wsum = weights.sum()  # positive: the peak sample weighs amp0
+    mu = float((x * weights).sum() / wsum)
+    var = float(((x - mu) ** 2 * weights).sum() / wsum)
+    sigma0 = math.sqrt(var) if var > 0 else float(np.ptp(x)) / 10.0
+
+    def evaluate(params, r):
+        jac = _gauss1d_jacobian(x, params)
+        np.subtract(params[0] * jac[:, 0] + params[3], y, out=r)
+        return jac, math.sqrt(float(r @ r))
+
+    (amplitude, mean, sigma, offset), _, _ = _least_squares(
+        (amp0, mean0, sigma0, offset0), evaluate, lambda _, jac, r: (jac.T @ jac, jac.T @ r),
+        y.shape, _MAX_ITER * 5, "1D Gaussian fit",
+    )
     sigma = abs(float(sigma))
     if amplitude <= 0.0 or sigma <= 0.0 or not np.isfinite(sigma):
         raise FitError("1D Gaussian fit collapsed (non-positive amplitude or width)")
-    rms = float(np.sqrt(np.mean((_gauss1d(x, *popt) - y) ** 2)))
-    return Fit1D(float(amplitude), float(mean), sigma, float(offset), rms)
+    return Fit1D(float(amplitude), float(mean), sigma, float(offset))
 
 
 @dataclass(frozen=True)
@@ -209,14 +203,14 @@ def _damped_step(a, g, delta, par) -> tuple[float, np.ndarray]:
     def coeffs(par):
         den = lam + par
         # a direction with no curvature gets no Gauss-Newton component
-        return np.divide(gv, den, out=np.zeros(7), where=den > 0.0)
+        return np.divide(gv, den, out=np.zeros(g.size), where=den > 0.0)
 
     c = coeffs(0.0)
     znorm = np.linalg.norm(c)
     excess = znorm - delta
     if excess <= 0.1 * delta:
         return 0.0, -(vec @ c)
-    full_rank = lam[0] > lam[-1] * 7 * np.finfo(float).eps
+    full_rank = lam[0] > lam[-1] * g.size * np.finfo(float).eps
     par_lo = excess / delta * znorm**2 / np.sum(gv**2 / lam**3) if full_rank else 0.0
     gnorm = np.linalg.norm(g)
     par_hi = gnorm / delta or np.finfo(float).tiny / min(delta, 0.1)
@@ -237,44 +231,28 @@ def _damped_step(a, g, delta, par) -> tuple[float, np.ndarray]:
     return par, -(vec @ c)
 
 
-def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
-    """Seven-parameter tilted Gaussian fit, seeded from image moments.
+def _least_squares(x0, evaluate, normal_equations, shape, max_nfev, name):
+    """Levenberg-Marquardt with MINPACK's trust-region rules (lmder: Moré,
+    "The Levenberg-Marquardt algorithm: implementation and theory", 1978).
 
-    Levenberg-Marquardt with MINPACK's trust-region rules (lmder: Moré,
-    "The Levenberg-Marquardt algorithm: implementation and theory", 1978) on
-    the 7x7 normal equations of :func:`_normal_equations`.  The variables are
-    scaled by D, the running maximum of sqrt(diag(J^T J)).  The fit stops once
-    ||D step|| <= _XTOL ||D x|| and raises :class:`FitError` after
-    _MAX_ITER * 10 model evaluations.
+    ``evaluate(x, r)`` writes the residual at x into r, one of two buffers of
+    ``shape`` that alternate (fresh 256^2 temporaries page-fault every step),
+    and returns (aux, |r|); ``normal_equations(x, aux, r)`` returns J^T J and
+    J^T r.  The variables are scaled by D, the running maximum of
+    sqrt(diag(J^T J)).  Stops once ||D step|| <= _XTOL ||D x|| and returns
+    (x, r, |r|); raises FitError, prefixed with ``name``, after ``max_nfev``
+    evaluations.
     """
-    vals = density.values
-    if not np.isfinite(vals).all():
-        raise FitError("density contains non-finite values")
-    if init is None:
-        amp0, ck0, cp0, kk0, kp0, pp0 = moment_estimate(density)
-        init = (amp0, ck0, cp0, kk0, kp0, pp0, float(np.median(vals)))
-    k, p = density.k_axis, density.p_axis
-    grid = (k[:, None], p[None, :])
-
-    def evaluate(x, r):
-        """Unit Gaussian at x, with the residual written into r (two buffers
-        alternate, since fresh 256^2 temporaries cost page faults each step)."""
-        e = _gauss2d(grid, 1.0, *x[1:6], 0.0)
-        np.multiply(e, x[0], out=r)
-        r += x[6]
-        r -= vals
-        return e, math.sqrt(float(np.vdot(r, r)))
-
-    x = np.array(init, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, r_t = np.empty(vals.shape), np.empty(vals.shape)
-        e, rnorm = evaluate(x, r)
+    x = np.array(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r, r_t = np.empty(shape), np.empty(shape)
+        aux, rnorm = evaluate(x, r)
         if not math.isfinite(rnorm):
-            raise FitError("2D Gaussian fit did not converge: the initial model is not finite")
+            raise FitError(f"{name} did not converge: the initial model is not finite")
         nfev, par, scale, moved = 1, 0.0, None, True
         while True:
             if moved:
-                jtj, jtr = _normal_equations(k, p, x, e, r)
+                jtj, jtr = normal_equations(x, aux, r)
                 if not np.any(jtr):
                     break
                 norms = np.sqrt(np.diag(jtj))
@@ -288,7 +266,7 @@ def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
             znorm = float(np.linalg.norm(z))
             if nfev == 1:
                 delta = min(delta, znorm)
-            e_t, rnorm_t = evaluate(x + step, r_t)
+            aux_t, rnorm_t = evaluate(x + step, r_t)
             nfev += 1
             # actual and predicted reductions of |r|^2, relative to |r|^2
             actual = 1.0 - (rnorm_t / rnorm) ** 2 if 0.1 * rnorm_t < rnorm else -1.0
@@ -308,20 +286,43 @@ def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
                 par *= 0.5
             moved = ratio >= 1e-4
             if moved:
-                x, e, rnorm = x + step, e_t, rnorm_t
+                x, aux, rnorm = x + step, aux_t, rnorm_t
                 r, r_t = r_t, r
             if znorm <= _XTOL * np.linalg.norm(scale * x):
                 break
-            if nfev >= _MAX_ITER * 10:
+            if nfev >= max_nfev:
                 raise FitError(
-                    f"2D Gaussian fit did not converge: {nfev} model evaluations "
+                    f"{name} did not converge: {nfev} model evaluations "
                     f"without a step below xtol={_XTOL:g}"
                 )
-    amplitude, ck, cp, kk, kp, pp, offset = x
-    return GaussianFit2D(
-        float(amplitude), float(ck), float(cp), float(kk), float(kp), float(pp), float(offset),
-        rnorm / math.sqrt(r.size),
+    return x, r, rnorm
+
+
+def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
+    """Seven-parameter tilted Gaussian fit, seeded from image moments, on the
+    7x7 normal equations of :func:`_normal_equations`."""
+    vals = density.values
+    if not np.isfinite(vals).all():
+        raise FitError("density contains non-finite values")
+    if init is None:
+        amp0, ck0, cp0, kk0, kp0, pp0 = moment_estimate(density)
+        init = (amp0, ck0, cp0, kk0, kp0, pp0, float(np.median(vals)))
+    k, p = density.k_axis, density.p_axis
+    grid = (k[:, None], p[None, :])
+
+    def evaluate(x, r):
+        """Unit Gaussian at x, with the residual written into r."""
+        e = _gauss2d(grid, 1.0, *x[1:6], 0.0)
+        np.multiply(e, x[0], out=r)
+        r += x[6]
+        r -= vals
+        return e, math.sqrt(float(np.vdot(r, r)))
+
+    x, r, rnorm = _least_squares(
+        init, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r),
+        vals.shape, _MAX_ITER * 10, "2D Gaussian fit",
     )
+    return GaussianFit2D(*map(float, x), rnorm / math.sqrt(r.size))
 
 
 def fit_magnification_curve(
@@ -343,16 +344,23 @@ def fit_magnification_curve(
         raise FitError(f"magnification fit needs at least 3 points, got {len(points)}")
     mags, thetas = points.T
 
-    def residuals(params):
-        quad = measurement_quadratic(base.rescaled(abs(params[0])), fourier_focal, mags, wavelength)
+    def residuals(mag):
+        quad = measurement_quadratic(base.rescaled(abs(mag)), fourier_focal, mags, wavelength)
         return principal_angle_deg(tilt_angle(quad) - thetas)
 
-    result = optimize.least_squares(
-        residuals, x0=[mag_eff_guess], method="lm", xtol=_XTOL, max_nfev=_MAX_ITER * 5
+    def evaluate(x, r):
+        r[:] = residuals(x[0])
+        return None, math.sqrt(float(r @ r))
+
+    def normal_equations(x, _, r):
+        h = 1e-6 * abs(x[0])
+        column = (residuals(x[0] + h) - residuals(x[0] - h)) / (2.0 * h)
+        return np.array([[column @ column]]), np.array([column @ r])
+
+    x, r, _ = _least_squares(
+        [mag_eff_guess], evaluate, normal_equations, thetas.shape, _MAX_ITER * 5, "magnification fit"
     )
-    if not result.success:
-        raise FitError(f"magnification fit did not converge: {result.message}")
-    fitted = abs(float(result.x[0]))
+    fitted = abs(float(x[0]))
     if not (fitted > 0.0 and np.isfinite(fitted)):
         raise FitError("magnification fit returned a non-physical value")
-    return fitted, result.fun
+    return fitted, r

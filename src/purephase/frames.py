@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _MAGIC = b"PPF1"
+_HEADER = struct.Struct("<4sHBBIHHdq")  # magic, version, flags, pad, frames, height, width, pitch, seed
 _FLAG_BINARY = 1
 _FLAG_DUAL_ARM = 2
 
@@ -306,17 +307,8 @@ def write_framestack(stack: FrameStack, path) -> None:
         flags |= _FLAG_BINARY
     if stack.dual_arm:
         flags |= _FLAG_DUAL_ARM
-    header = struct.pack(
-        "<4sHBBIHHdq",
-        _MAGIC,
-        1,
-        flags,
-        0,
-        stack.n_frames,
-        det.height,
-        det.width,
-        det.pixel_pitch,
-        det.seed,
+    header = _HEADER.pack(
+        _MAGIC, 1, flags, 0, stack.n_frames, det.height, det.width, det.pixel_pitch, det.seed
     )
     arms = [stack.arm_k] + ([stack.arm_p] if stack.dual_arm else [])
     frames = np.stack(arms, axis=1).reshape(stack.n_frames, len(arms), det.height * det.width)
@@ -337,10 +329,10 @@ def write_framestack(stack: FrameStack, path) -> None:
 
 def read_framestack(path) -> FrameStack:
     with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sHBBIHHdq"))
-        magic, version, flags, _, n_frames, height, width, pitch, seed = struct.unpack(
-            "<4sHBBIHHdq", header
-        )
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise DomainError(f"{path} is not a PPF1 frame stack: truncated header")
+        magic, version, flags, _, n_frames, height, width, pitch, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise DomainError(f"{path} is not a PPF1 frame stack")
         if version != 1:

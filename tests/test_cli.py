@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 import purephase.pipeline as pl
 from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
-from purephase.density import read_density_csv
+from purephase.density import Density2D, read_density_csv, write_density_csv
 from purephase.fitting import fit_gaussian_2d
 from purephase.states import DomainError
 
@@ -223,8 +226,49 @@ class TestCliErrors:
         cfg.write_text(f"out_dir={tmp_path}\n")
         assert cli.main(["estimate", "--config", str(cfg)]) == 2
 
+    @staticmethod
+    def one_mag_config(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out_dir={tmp_path}\nmagnifications=1.0\n")
+        return cfg
+
+    @pytest.mark.parametrize("cut", [
+        lambda text: text[: text.rindex(",") + 1],  # mid-row, right after a comma: an empty cell
+        lambda text: text[: text.rindex(",")],  # mid-row at a comma: a short row
+        lambda text: text[: text.rindex(",") + 1] + "abc\n",  # a non-numeric cell
+    ], ids=["empty-cell", "short-row", "non-numeric"])
+    def test_malformed_density_row(self, tmp_path, capsys, cut):
+        cfg = self.one_mag_config(tmp_path)
+        path = tmp_path / "density_m+1.00.csv"
+        write_density_csv(Density2D(np.arange(48.0).reshape(6, 8) / 7.0, -3.0, 1.5, -4.0, 1.25), path)
+        path.write_text(cut(path.read_text()))
+        assert cli.main(["clean", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"{path}, line " in err
+
+    def test_short_ppf1_file(self, tmp_path, capsys):
+        cfg = self.one_mag_config(tmp_path)
+        (tmp_path / "frames_m+1.00.ppf").write_bytes(b"PPF1")
+        assert cli.main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith("truncated header")
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PUREPHASE_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         cli._apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
+def test_runtime_imports_leave_scipy_unloaded():
+    # scipy is a test-only dependency: the command line must start without it
+    code = (
+        "import sys, purephase.cli, purephase.pipeline; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

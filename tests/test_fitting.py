@@ -6,6 +6,8 @@ from scipy import optimize
 
 from purephase import fitting
 from purephase.density import Density2D
+from purephase.estimation import autoconvolution_profile, autocorrelation_profile
+from purephase.frames import DetectorConfig, synthesize_farfield, synthesize_nearfield
 from purephase.fitting import (
     FitError,
     fit_gaussian_1d,
@@ -13,7 +15,7 @@ from purephase.fitting import (
     fit_magnification_curve,
     moment_estimate,
 )
-from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle, tilt_from_form
+from purephase.optics import PrepDesign, measurement_quadratic, principal_angle_deg, tilt_angle, tilt_from_form
 from purephase.states import phase_plane_distance, pure_phase_params
 from conftest import WAVELENGTH
 
@@ -88,6 +90,76 @@ class TestFit1D:
     def test_too_few_samples(self):
         with pytest.raises(FitError):
             fit_gaussian_1d(np.arange(4.0), np.arange(4.0))
+
+
+def gauss1d(x, amplitude, mean, sigma, offset):
+    return amplitude * np.exp(-0.5 * ((x - mean) / sigma) ** 2) + offset
+
+
+def calibration_profiles(params):
+    """The two profiles cmd_calibrate fits: near-field autocorrelation without
+    its centre lag, and far-field autoconvolution (5000 frames of 512 px)."""
+    near_det = DetectorConfig(3.25, 512, height=1, mean_pair_rate=2.0, dark_count_prob=1e-4, seed=31)
+    far_det = DetectorConfig(16.0, 512, height=1, mean_pair_rate=2.0, dark_count_prob=1e-4, seed=32)
+    near = synthesize_nearfield(params, near_det, 5000)
+    far = synthesize_farfield(params, far_det, 5000, FM, WAVELENGTH)
+    lags, acorr = autocorrelation_profile(near)
+    keep = np.abs(lags) > 0.5 * near_det.pixel_pitch
+    return [(lags[keep], acorr[keep]), autoconvolution_profile(far)]
+
+
+def random_gauss1d_params(rng):
+    """(amplitude, mean, sigma, offset) of a peak well inside x = -300..500."""
+    return np.array([
+        rng.uniform(0.5, 5.0), rng.uniform(-50.0, 150.0), rng.uniform(20.0, 90.0), rng.uniform(0.1, 0.5),
+    ])
+
+
+class TestFit1DContract:
+    @staticmethod
+    def assert_matches_curve_fit(x, y):
+        """The fit sits where MINPACK's tightly converged fit of the same model does."""
+        offset0 = float(np.median(y))
+        p0 = (y.max() - offset0, x[np.argmax(y)], np.ptp(x) / 10.0, offset0)
+        ref, _ = optimize.curve_fit(gauss1d, x, y, p0=p0, xtol=1e-12, ftol=1e-12)
+        fit = fit_gaussian_1d(x, y)
+        scale = np.array([ref[0], abs(ref[2]), abs(ref[2]), ref[0]])
+        got = np.array([fit.amplitude, fit.mean, fit.sigma, fit.offset])
+        want = np.array([ref[0], ref[1], abs(ref[2]), ref[3]])
+        # relative to each parameter's scale: the mean and offset may sit near 0
+        assert np.all(np.abs(got - want) <= 1e-6 * scale), (got, want)
+
+    def test_matches_curve_fit_on_noisy_profiles(self, rng):
+        x = np.linspace(-300.0, 500.0, 241)
+        for _ in range(5):
+            truth = random_gauss1d_params(rng)
+            y = gauss1d(x, *truth) + 0.05 * truth[0] * rng.standard_normal(x.size)
+            self.assert_matches_curve_fit(x, y)
+
+    def test_matches_curve_fit_on_calibration_profiles(self, paper_dg):
+        for x, y in calibration_profiles(paper_dg):
+            self.assert_matches_curve_fit(x, y)
+
+    def test_jacobian_columns_match_central_differences(self, rng):
+        x = np.linspace(-300.0, 500.0, 241)
+        for _ in range(5):
+            params = random_gauss1d_params(rng)
+            jac = fitting._gauss1d_jacobian(x, params)
+            for j in range(4):
+                h = 1e-6 * abs(params[j])
+                up, down = params.copy(), params.copy()
+                up[j] += h
+                down[j] -= h
+                numeric = (gauss1d(x, *up) - gauss1d(x, *down)) / (2.0 * h)
+                err = np.linalg.norm(numeric - jac[:, j]) / np.linalg.norm(jac[:, j])
+                assert err < 1e-7, (j, err)
+
+    def test_exhausted_budget_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+        x = np.linspace(-300.0, 500.0, 241)
+        y = gauss1d(x, 2.0, 60.0, 45.0, 0.1) + 0.1 * rng.standard_normal(x.size)
+        with pytest.raises(FitError, match="^1D Gaussian fit did not converge: 5 model evaluations"):
+            fit_gaussian_1d(x, y)
 
 
 class TestFit2D:
@@ -282,6 +354,26 @@ class TestMagnificationFit:
         ]
         fitted, _ = fit_magnification_curve(points, base, FM, WAVELENGTH, 1.39)
         assert 1.2 <= fitted <= 1.5
+
+    def test_matches_least_squares_reference(self, paper_dg, rng):
+        # 0.05 deg of angle noise, as in a sweep's fits (residual_rms_deg ~ 0.04);
+        # at 2 deg the float cost resolves the minimum only to a few 1e-9, so
+        # two converged references disagree at that level among themselves
+        base = pure_phase_params(paper_dg)
+        mags = np.array([0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0])
+        for _ in range(5):
+            scaled = base.rescaled(rng.uniform(1.2, 1.6))
+            thetas = tilt_angle(measurement_quadratic(scaled, FM, mags, WAVELENGTH))
+            thetas = thetas + rng.normal(0, 0.05, mags.size)
+
+            def residuals(params):
+                quad = measurement_quadratic(base.rescaled(abs(params[0])), FM, mags, WAVELENGTH)
+                return principal_angle_deg(tilt_angle(quad) - thetas)
+
+            ref = optimize.least_squares(residuals, x0=[1.4], method="lm", xtol=1e-12, ftol=1e-12)
+            fitted, res = fit_magnification_curve(np.column_stack([mags, thetas]), base, FM, WAVELENGTH, 1.4)
+            assert fitted == pytest.approx(abs(ref.x[0]), rel=1e-9)
+            np.testing.assert_array_equal(res, residuals([fitted]))
 
     def test_under_determined_raises(self, paper_dg):
         base = pure_phase_params(paper_dg)
