@@ -63,6 +63,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _shape(values: np.ndarray) -> str:
+    rows, cols = values.shape
+    return f"{rows}x{cols}"
+
+
 def write_density_csv(density: Density2D, path, meta: dict | None = None) -> None:
     """CSV with axis coordinates in the first row and column.
 
@@ -70,11 +75,14 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
     lists the x_p coordinates, each following row starts with its x_k
     coordinate.  Floats are written with repr so a read round-trips exactly;
     the axis origins and pitches are metadata too, since a pitch taken as the
-    difference of two written coordinates is off by rounding.
+    difference of two written coordinates is off by rounding.  The shape
+    (rows x columns) is metadata so a read can refuse a file cut at a row
+    boundary.
     """
     lines = ["# purephase-density v1"]
     items = {"normalized": int(density.normalized), "k_name": density.k_name, "p_name": density.p_name}
     items.update({key: _fmt(getattr(density, key)) for key in _AXIS_KEYS})
+    items["shape"] = _shape(density.values)
     if meta:
         items.update(meta)
     for key in items:
@@ -113,11 +121,14 @@ def read_density_csv(path) -> Density2D:
                 raise DomainError(f"{path}, line {lineno}: {exc}") from None
     if header is None or not rows:
         raise DomainError(f"no density data in {path}")
-    missing = [key for key in _AXIS_KEYS if key not in meta]
+    missing = [key for key in _AXIS_KEYS + ("shape",) if key not in meta]
     if missing:
         raise DomainError(f"density file {path} lacks axis metadata: {', '.join(missing)}")
+    values = np.array(rows)
+    if meta["shape"] != _shape(values):
+        raise DomainError(f"density file {path} holds {_shape(values)} values, its metadata says {meta['shape']}")
     return Density2D(
-        np.array(rows),
+        values,
         *(float(meta[key]) for key in _AXIS_KEYS),
         normalized=bool(int(meta.get("normalized", "0"))),
         k_name=meta.get("k_name", "xk"),

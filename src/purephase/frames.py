@@ -9,10 +9,12 @@ is reduced to pixel binning, optional uniform dark counts, and optional
 clipping to binary photon-counting frames.
 
 Split and single-arm stacks come from one kernel.  Determinism: frame j
-draws everything from its own RNG stream keyed by seed XOR j, so stacks are
-bit-identical regardless of evaluation order or stack length.  Draws run
-frame by frame; binning, dark counts and clipping run once per chunk of
-frames with a single np.bincount.
+draws everything from its own RNG stream keyed by seed XOR j (frame_rng), so
+stacks are bit-identical regardless of evaluation order or stack length.
+Draws run frame by frame on one Philox per stack, re-keyed for each frame to
+the state a fresh frame_rng starts in; a pair's two routes are two bits of
+one raw 64-bit word.  The Cholesky product, binning, dark counts and clipping
+run once per chunk of frames, with a single np.bincount.
 """
 from __future__ import annotations
 
@@ -99,14 +101,18 @@ class FrameStack:
         return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
 
 
+def _frame_key(seed: int, frame_index: int) -> int:
+    """Philox key of frame ``frame_index`` in a stack seeded with ``seed``."""
+    return (int(seed) ^ int(frame_index)) & 0xFFFF_FFFF_FFFF_FFFF
+
+
 def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     """Independent per-frame stream: Philox keyed by seed XOR frame index.
 
     Seeds of distinct stacks must differ by more than the largest frame index
     (the pipeline spaces them 2**24 apart), otherwise streams collide.
     """
-    key = (int(seed) ^ int(frame_index)) & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_frame_key(seed, frame_index)))
 
 
 def sample_rho_m(quad: MeasurementQuadratic, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -168,11 +174,16 @@ def _synthesize(
     photons take different paths (x_k lands in arm 0, x_p in arm 1),
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.  Without ``split`` both coordinates of every
-    pair land on the single arm.  Frame j draws, in this order, from
-    frame_rng(seed, j): the pair count, x normals, y normals (2d), then for
-    split stacks the routes, x and y (2d) marginal normals, then one uniform
-    per pixel and arm when dark counts are on.  Binning, darks and clipping
-    run once per chunk of frames.
+    pair land on the single arm.  Frame j draws, in this order, from the
+    stream of frame_rng(seed, j): the pair count, x normals, y normals (2d),
+    then for split stacks one raw 64-bit word per pair for the routes, x and
+    y (2d) marginal normals, then one uniform per pixel and arm when dark
+    counts are on.  The stack holds one Philox and re-keys it per frame to
+    the state a fresh Philox(key=seed ^ j) starts in.  A pair's two routes
+    are bit 31 and bit 63 of its raw word, which is what
+    ``integers(0, 2, size=(n, 2))`` returns from the same words.  The
+    Cholesky product, binning, darks and clipping run once per chunk of
+    frames.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -184,29 +195,43 @@ def _synthesize(
     images = np.empty((n_frames, arms, det.height, det.width), dtype=np.uint8)
     n_pairs_total = 0
     n_split_total = 0
+    # a new Philox seeds a SeedSequence from OS entropy; resetting one is
+    # cheaper and leaves it in the state Philox(key=_frame_key(seed, j)) starts in
+    bitgen = np.random.Philox()
+    rng = np.random.Generator(bitgen)
+    fresh = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for start in range(0, n_frames, _CHUNK_FRAMES):
         stop = min(start + _CHUNK_FRAMES, n_frames)
-        pairs, joint, routes, marg = [], [], [], []
+        pairs, normals, raw, marg = [], [], [], []
         if det.dark_count_prob > 0.0:
             uniform = np.empty((stop - start, arms, det.height, det.width))
         for j in range(start, stop):
-            rng = frame_rng(det.seed, j)
+            fresh["state"]["key"][0] = _frame_key(det.seed, j)
+            bitgen.state = fresh
             n = int(rng.poisson(det.mean_pair_rate))
             pairs.append(n)
-            # one product per (n, 2) draw: a batched product rounds 1-pair frames differently
-            joint.extend(rng.standard_normal((n, 2)) @ chol.T for _ in range(dims))
+            normals.append(rng.standard_normal((dims, n, 2)))
             if split:
-                routes.append(rng.integers(0, 2, size=(n, 2)))
+                raw.append(bitgen.random_raw(n))
                 marg.append(rng.standard_normal((dims, n, 2)))
             if det.dark_count_prob > 0.0:
                 rng.random(out=uniform[j - start])
         pairs = np.array(pairs)
         n_pairs_total += int(pairs.sum())
-        coords = np.stack([np.concatenate(joint[d::dims]) for d in range(dims)])  # (dims, pairs, 2)
+        coords = np.concatenate(normals, axis=1) @ chol.T  # (dims, pairs, 2)
         arm = np.broadcast_to(np.arange(arms), coords.shape[1:])
         keep = True
         if split:
-            routes = np.concatenate(routes)
+            raw = np.concatenate(raw)
+            # int64 like integers(): uint64 routes would turn the arm index into float64
+            routes = np.stack([(raw >> 31) & 1, raw >> 63], axis=1).astype(np.int64)
             together = routes[:, :1] == routes[:, 1:]
             n_split_total += int(pairs.sum() - together.sum())
             arm = np.where(together, routes[:, :1], arm)

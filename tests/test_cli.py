@@ -247,6 +247,19 @@ class TestCliErrors:
         assert len(err.splitlines()) == 1
         assert f"{path}, line " in err
 
+    def test_density_cut_at_a_row_boundary(self, tmp_path, capsys):
+        cfg = self.one_mag_config(tmp_path)
+        for verb in ("simulate", "estimate"):
+            assert cli.main([verb, "--config", str(cfg), "--frames", "300"]) == 0
+        path = tmp_path / "density_m+1.00.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-100]))
+        capsys.readouterr()
+        assert cli.main(["clean", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"{path} holds 156x256 values, its metadata says 256x256")
+
     def test_short_ppf1_file(self, tmp_path, capsys):
         cfg = self.one_mag_config(tmp_path)
         (tmp_path / "frames_m+1.00.ppf").write_bytes(b"PPF1")

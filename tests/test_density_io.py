@@ -73,9 +73,10 @@ class TestCsvRoundTrip:
         path = tmp_path / "density.csv"
         write_density_csv(sample_density(rng), path)
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(line for line in lines if not line.startswith("# p_pitch=")))
-        with pytest.raises(DomainError, match="p_pitch"):
-            read_density_csv(path)
+        for key in ("p_pitch", "shape"):
+            path.write_text("".join(line for line in lines if not line.startswith(f"# {key}=")))
+            with pytest.raises(DomainError, match=key):
+                read_density_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from purephase import frames
 from purephase.frames import (
     DetectorConfig,
     FrameStack,
@@ -214,6 +215,54 @@ class TestFrameRng:
         assert not np.array_equal(a, b)
         again = frame_rng(123, 0).random(4)
         assert np.array_equal(a, again)
+
+
+# builders of the stacks the re-keying is checked on, keyed by case name
+REKEY_CASES = {
+    "split_1d_darks": lambda dg, seed, n: synthesize_frames(
+        paper_quad(dg), quiet_detector(seed=seed, dark_count_prob=0.002), n
+    ),
+    "discard_unsplit": lambda dg, seed, n: synthesize_frames(
+        paper_quad(dg), quiet_detector(seed=seed, keep_unsplit=False), n
+    ),
+    "2d": lambda dg, seed, n: synthesize_frames(
+        paper_quad(dg), quiet_detector(seed=seed, height=8, width=64, pixel_pitch=60.0, dark_count_prob=0.002), n
+    ),
+    "nearfield": lambda dg, seed, n: synthesize_nearfield(
+        dg, quiet_detector(pixel_pitch=3.25, width=512, mean_pair_rate=2.0, seed=seed, dark_count_prob=0.002), n
+    ),
+}
+
+
+class TestRekeying:
+    """A stack re-keys one bit generator per frame; no state may leak from one frame to the next."""
+
+    @pytest.mark.parametrize("chunk", [frames._CHUNK_FRAMES, 3])
+    @pytest.mark.parametrize("case", sorted(REKEY_CASES))
+    def test_frame_j_is_the_one_frame_stack_at_seed_xor_j(self, paper_dg, monkeypatch, case, chunk):
+        monkeypatch.setattr(frames, "_CHUNK_FRAMES", chunk)
+        build, seed, n = REKEY_CASES[case], 12345, 10
+        stack = build(paper_dg, seed, n)
+        for j in range(n):
+            single = build(paper_dg, seed ^ j, 1)
+            assert np.array_equal(single.arm_k[0], stack.arm_k[j]), j
+            if stack.dual_arm:
+                assert np.array_equal(single.arm_p[0], stack.arm_p[j]), j
+
+    def test_one_bit_generator_per_stack(self, paper_dg, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        synthesize_frames(paper_quad(paper_dg), quiet_detector(), 300)
+        assert len(built) <= 1
+        built.clear()
+        synthesize_nearfield(paper_dg, quiet_detector(pixel_pitch=3.25, width=512, mean_pair_rate=2.0), 300)
+        assert len(built) <= 1
 
 
 class TestFileFormat:
