@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 from .states import DomainError
 
-__all__ = ["RunConfig", "parse_config_file", "config_from_file"]
+__all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
+
+
+def mag_tag(mag: float) -> str:
+    """Artifact file-name tag of one magnification; RunConfig keeps them distinct."""
+    return f"m{mag:+.2f}"
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,10 @@ class RunConfig:
             raise DomainError("magnification list must not be empty")
         if any(m == 0.0 for m in self.magnifications):
             raise DomainError("magnifications must be nonzero")
+        if len({mag_tag(m) for m in self.magnifications}) < len(self.magnifications):
+            raise DomainError(f"magnifications {self.magnifications} repeat an artifact tag (2 decimals)")
+        if not -(2**63) <= self.seed < 2**63:
+            raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.frames < 2 or self.calib_frames < 2:
             raise DomainError("frame counts must be at least 2")
 

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .density import Density2D
-from .fitting import FitError, fit_gaussian_1d
+from .fitting import FitError, fit_gaussian_1d, fit_gaussian_2d
 from .frames import FrameStack
 from .states import DomainError
 
@@ -152,28 +152,15 @@ def calibrate_sigma_plus(coords: np.ndarray, signal: np.ndarray, pitch: float, s
 
 
 def estimate_fedorov(density: Density2D) -> float:
-    """Marginal width over central conditional width from Gaussian fits.
+    """Marginal width over conditional width, from one 2D Gaussian fit.
 
-    For single-detector densities the diagonal cell of the conditioning column
-    is censored (a photon-counting pixel cannot register both photons of a
-    pair), so that sample is excluded from the slice fit whenever both axes
-    describe the same pixel grid.
+    Under the fitted form amp * exp(-(kk dk^2 + 2 kp dk dp + pp dp^2)), k has
+    marginal variance pp / (2 (kk pp - kp^2)) and conditional variance
+    1 / (2 kk), so F = sqrt(kk pp / (kk pp - kp^2)), the same for p.  When
+    both axes describe the same pixel grid the diagonal cells are left out of
+    the fit: a photon-counting pixel cannot register both photons of a pair.
     """
-    marg_k, marg_p = density.marginals()
-    k_axis, p_axis = density.k_axis, density.p_axis
-    marg_fit = fit_gaussian_1d(k_axis, marg_k)
-    total = marg_p.sum()
-    if total <= 0.0:
-        raise FitError("density has no positive mass")
-    center = (p_axis * marg_p).sum() / total
-    idx = int(np.argmin(np.abs(p_axis - center)))
-    profile = density.values[:, idx]
-    keep = np.ones(k_axis.size, dtype=bool)
-    if (
-        k_axis.size == p_axis.size
-        and density.k_origin == density.p_origin
-        and density.k_pitch == density.p_pitch
-    ):
-        keep[idx] = False
-    cond_fit = fit_gaussian_1d(k_axis[keep], profile[keep])
-    return marg_fit.sigma / cond_fit.sigma
+    n, m = density.values.shape
+    same_grid = n == m and (density.k_origin, density.k_pitch) == (density.p_origin, density.p_pitch)
+    fit = fit_gaussian_2d(density, ~np.eye(n, dtype=bool) if same_grid else None)
+    return math.sqrt(fit.kk * fit.pp / (fit.kk * fit.pp - fit.kp**2))

@@ -7,12 +7,13 @@ degenerate inputs raise :class:`FitError` instead of returning garbage.  Each
 fit hands the loop its normal equations: the 1D fit from its analytic
 Jacobian, the magnification fit from a central difference, and the 2D fit from
 separable moments of the model on the density's grid, so the 65536x7 Jacobian
-of a 256^2 density is never formed.
+of a 256^2 density is never formed.  A boolean cell mask leaves cells out of
+the 2D fit's seed, residual and moments (the single-arm diagonal, for one).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -160,10 +161,11 @@ _MONO_K = np.array([0, 1, 0, 2, 1, 0])
 _MONO_P = np.array([0, 0, 1, 0, 1, 2])
 
 
-def _normal_equations(k, p, params, e, r) -> tuple[np.ndarray, np.ndarray]:
-    """J^T J and J^T r of _gauss2d at ``params`` on the grid k x p.
+def _normal_equations(k, p, params, e, r, n_cells) -> tuple[np.ndarray, np.ndarray]:
+    """J^T J and J^T r of _gauss2d at ``params`` over ``n_cells`` cells of the grid k x p.
 
-    ``e`` is the unit Gaussian exp(-Q) on the grid and ``r`` the residual.
+    ``e`` is the unit Gaussian exp(-Q) on the grid and ``r`` the residual, both
+    zero outside the fitted cells (a mask enters the sums through them).
     Column j < 6 of J is e times a polynomial sum_m c[m, j] * mono_m of degree
     <= 2 in dk = k - ck and dp = p - cp, and column 6 (the offset) is ones, so
     every entry is a combination of the separable moments sum e^2 dk^a dp^b
@@ -182,7 +184,7 @@ def _normal_equations(k, p, params, e, r) -> tuple[np.ndarray, np.ndarray]:
     jtj = np.empty((7, 7))
     jtj[:6, :6] = c.T @ m_ee[_MONO_K[:, None] + _MONO_K, _MONO_P[:, None] + _MONO_P] @ c
     jtj[:6, 6] = jtj[6, :6] = c.T @ m_e[_MONO_K, _MONO_P]
-    jtj[6, 6] = e.size
+    jtj[6, 6] = n_cells
     jtr = np.append(c.T @ m_er[_MONO_K, _MONO_P], r.sum())
     return jtj, jtr
 
@@ -298,31 +300,35 @@ def _least_squares(x0, evaluate, normal_equations, shape, max_nfev, name):
     return x, r, rnorm
 
 
-def fit_gaussian_2d(density: Density2D, init=None) -> GaussianFit2D:
+def fit_gaussian_2d(density: Density2D, mask=None) -> GaussianFit2D:
     """Seven-parameter tilted Gaussian fit, seeded from image moments, on the
-    7x7 normal equations of :func:`_normal_equations`."""
+    7x7 normal equations of :func:`_normal_equations`.  Cells where the
+    boolean ``mask`` is False are left out of the seed and of the fit."""
     vals = density.values
     if not np.isfinite(vals).all():
         raise FitError("density contains non-finite values")
-    if init is None:
-        amp0, ck0, cp0, kk0, kp0, pp0 = moment_estimate(density)
-        init = (amp0, ck0, cp0, kk0, kp0, pp0, float(np.median(vals)))
+    used = vals if mask is None else vals[mask]
+    seed = density if mask is None else replace(density, values=np.where(mask, vals, 0.0))
+    x0 = (*moment_estimate(seed), float(np.median(used)))
     k, p = density.k_axis, density.p_axis
     grid = (k[:, None], p[None, :])
 
     def evaluate(x, r):
-        """Unit Gaussian at x, with the residual written into r."""
+        """Unit Gaussian at x, with the residual written into r; both are 0 outside the mask."""
         e = _gauss2d(grid, 1.0, *x[1:6], 0.0)
         np.multiply(e, x[0], out=r)
         r += x[6]
         r -= vals
+        if mask is not None:
+            e *= mask
+            r *= mask
         return e, math.sqrt(float(np.vdot(r, r)))
 
-    x, r, rnorm = _least_squares(
-        init, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r),
+    x, _, rnorm = _least_squares(
+        x0, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r, used.size),
         vals.shape, _MAX_ITER * 10, "2D Gaussian fit",
     )
-    return GaussianFit2D(*map(float, x), rnorm / math.sqrt(r.size))
+    return GaussianFit2D(*map(float, x), rnorm / math.sqrt(used.size))
 
 
 def fit_magnification_curve(

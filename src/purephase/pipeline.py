@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, mag_tag
 from .denoise import CleaningConfig, clean_density
 from .density import Density2D, read_density_csv, write_density_csv, write_density_pgm
 from .estimation import (
@@ -72,10 +72,6 @@ def scaled_params(cfg: RunConfig):
 
 def quad_for(cfg: RunConfig, mag: float):
     return measurement_quadratic(scaled_params(cfg), cfg.fm_um, mag, cfg.wavelength_um)
-
-
-def _mag_tag(mag: float) -> str:
-    return f"m{mag:+.2f}"
 
 
 def _auto_pitch(quad, width: int) -> float:
@@ -200,7 +196,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
     for mag in cfg.magnifications:
         mag_quad = quad_for(cfg, mag)
         pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(mag_quad, cfg.arm_width_px)
-        _write_density(cfg, _rasterize(mag_quad, pitch, cfg.arm_width_px), f"predict_rho_{_mag_tag(mag)}")
+        _write_density(cfg, _rasterize(mag_quad, pitch, cfg.arm_width_px), f"predict_rho_{mag_tag(mag)}")
     _write_table(
         cfg,
         "predict_tilt.csv",
@@ -225,16 +221,16 @@ def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
         theta_pred_deg=tilt_angle(quad),
         config_hash=cfg.config_hash(),
     )
-    write_framestack(stack, _out(cfg, f"frames_{_mag_tag(mag)}.ppf"))
+    write_framestack(stack, _out(cfg, f"frames_{mag_tag(mag)}.ppf"))
     return stack
 
 
 def _estimate(cfg: RunConfig, mag: float, stack: FrameStack) -> Density2D:
-    return _write_density(cfg, estimate_density(stack), f"density_{_mag_tag(mag)}")
+    return _write_density(cfg, estimate_density(stack), f"density_{mag_tag(mag)}")
 
 
 def _clean(cfg: RunConfig, mag: float, dens: Density2D) -> Density2D:
-    return _write_density(cfg, clean_density(dens, _cleaning(cfg)), f"cleaned_{_mag_tag(mag)}")
+    return _write_density(cfg, clean_density(dens, _cleaning(cfg)), f"cleaned_{mag_tag(mag)}")
 
 
 _FIT_COLUMNS = [
@@ -260,7 +256,7 @@ def _fit(cfg: RunConfig, mag: float, dens: Density2D, source: str) -> list:
         "residual_rms": fit.residual_rms,
         "source": source,
     }
-    _write_report(cfg, f"fit_{_mag_tag(mag)}.txt", items)
+    _write_report(cfg, f"fit_{mag_tag(mag)}.txt", items)
     return [items[key] for key in _FIT_COLUMNS]
 
 
@@ -274,14 +270,14 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def cmd_estimate(cfg: RunConfig) -> dict:
     """Cross-frame density estimates from the simulated stacks."""
     for mag in cfg.magnifications:
-        _estimate(cfg, mag, read_framestack(_out(cfg, f"frames_{_mag_tag(mag)}.ppf")))
+        _estimate(cfg, mag, read_framestack(_out(cfg, f"frames_{mag_tag(mag)}.ppf")))
     return {}
 
 
 def cmd_clean(cfg: RunConfig) -> dict:
     """Statistical cleaning of every estimated density."""
     for mag in cfg.magnifications:
-        _clean(cfg, mag, read_density_csv(_out(cfg, f"density_{_mag_tag(mag)}.csv")))
+        _clean(cfg, mag, read_density_csv(_out(cfg, f"density_{mag_tag(mag)}.csv")))
     return {}
 
 
@@ -289,7 +285,7 @@ def cmd_fit(cfg: RunConfig) -> dict:
     """2D Gaussian fits of the cleaned densities, or of the raw ones where none is cleaned."""
     rows = []
     for mag in cfg.magnifications:
-        tag = _mag_tag(mag)
+        tag = mag_tag(mag)
         path = _out(cfg, f"cleaned_{tag}.csv")
         if not os.path.exists(path):
             path = _out(cfg, f"density_{tag}.csv")
@@ -326,7 +322,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     for i, mag in enumerate(cfg.magnifications):
         # nested, so each stack is freed once its density is estimated
         dens = _clean(cfg, mag, _estimate(cfg, mag, _simulate(cfg, i, mag)))
-        rows.append(_fit(cfg, mag, dens, f"cleaned_{_mag_tag(mag)}.csv"))
+        rows.append(_fit(cfg, mag, dens, f"cleaned_{mag_tag(mag)}.csv"))
     _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
     return {**_write_sweep_report(cfg, rows), "rows": rows}
 

@@ -268,6 +268,25 @@ class TestCliErrors:
         assert len(err.splitlines()) == 1
         assert err.endswith("truncated header")
 
+    def test_colliding_magnification_tags(self, tmp_path, capsys):
+        # 1.004 and 1.0 would both write frames_m+1.00.ppf and the rest of that set
+        assert cli.main(["sweep", "--out", str(tmp_path), "--frames", "300", "--mag=1.0,1.004,2.0"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "repeat an artifact tag" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_outside_int64(self, tmp_path, capsys, seed):
+        argv = ["simulate", "--out", str(tmp_path), "--frames", "300", "--mag=1.0"]
+        assert cli.main([*argv, f"--seed={seed}"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"seed must fit in a signed 64-bit integer, got {seed}")
+        # the ends of the range, the negative one included, still run
+        for edge in (-(2**63), 2**63 - 1):
+            assert cli.main([*argv, f"--seed={edge}"]) == 0
+
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PUREPHASE_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

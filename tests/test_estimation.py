@@ -18,7 +18,7 @@ from purephase.estimation import (
 from purephase.fitting import FitError, fit_gaussian_2d
 from purephase.frames import DetectorConfig, FrameStack, synthesize_farfield, synthesize_frames, synthesize_joint, synthesize_nearfield
 from purephase.optics import PrepDesign, measurement_quadratic, prepare_p3, tilt_angle
-from purephase.states import DGParams, DomainError, dg_state, phase_plane_distance, pure_phase_params
+from purephase.states import DGParams, DomainError, dg_state, fedorov_ratio, phase_plane_distance, pure_phase_params
 from conftest import WAVELENGTH, stack_columns
 
 
@@ -304,6 +304,17 @@ class TestEstimateFedorov:
         dens = Density2D(np.outer(prof, prof), x[0], 4.0, x[0], 4.0)
         assert estimate_fedorov(dens) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("widths", [(60.0, 20.0), (120.0, 15.0)])
+    def test_censored_diagonal_source_density(self, widths):
+        # a binary single-arm camera records no pair on one pixel: the whole
+        # diagonal of the noise-free density reads 0
+        state = dg_state(DGParams(*widths), WAVELENGTH)
+        x = (np.arange(128) - 63.5) * 4.0
+        values = np.abs(state.evaluate(x[:, None], x[None, :])) ** 2
+        np.fill_diagonal(values, 0.0)
+        dens = Density2D(values, x[0], 4.0, x[0], 4.0)
+        assert estimate_fedorov(dens) == pytest.approx(fedorov_ratio(state), rel=1e-4)
+
     def test_pure_phase_plane_stack(self, paper_dg):
         design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
         state = prepare_p3(paper_dg, WAVELENGTH, design)
@@ -318,6 +329,4 @@ class TestEstimateFedorov:
         stack = synthesize_joint(state, det, 50000)
         raw = estimate_density(stack, normalize=False)
         dens = dataclasses.replace(raw, values=np.maximum(raw.values, 0.0)).self_normalized()
-        from purephase.states import fedorov_ratio
-
         assert estimate_fedorov(dens) == pytest.approx(fedorov_ratio(state), rel=0.15)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,39 +265,52 @@ class TestNormalEquations:
             x = self.random_params(rng)
             e = fitting._gauss2d(coords, 1.0, *x[1:6], 0.0)
             r = rng.standard_normal(e.shape)
-            jtj, jtr = fitting._normal_equations(self.K_AXIS, self.P_AXIS, x, e, r)
-            jac = explicit_jacobian(coords, *x).reshape(-1, 7)
-            ref_jtj, ref_jtr = jac.T @ jac, jac.T @ r.ravel()
-            # entries relative to their Cauchy-Schwarz bounds |J_i||J_j| and |J_i||r|
-            norms = np.linalg.norm(jac, axis=0)
-            assert np.all(np.abs(jtj - ref_jtj) <= 1e-12 * np.outer(norms, norms))
-            assert np.all(np.abs(jtr - ref_jtr) <= 1e-12 * norms * np.linalg.norm(r))
+            for keep in (np.ones(e.shape, dtype=bool), rng.random(e.shape) < 0.7):
+                # the fit zeroes e and r outside the mask; the reference zeroes those rows of J
+                jtj, jtr = fitting._normal_equations(self.K_AXIS, self.P_AXIS, x, e * keep, r * keep, keep.sum())
+                jac = (explicit_jacobian(coords, *x) * keep[..., None]).reshape(-1, 7)
+                ref_jtj, ref_jtr = jac.T @ jac, jac.T @ r.ravel()
+                # entries relative to their Cauchy-Schwarz bounds |J_i||J_j| and |J_i||r|
+                norms = np.linalg.norm(jac, axis=0)
+                assert np.all(np.abs(jtj - ref_jtj) <= 1e-12 * np.outer(norms, norms))
+                assert np.all(np.abs(jtr - ref_jtr) <= 1e-12 * norms * np.linalg.norm(r))
 
 
 class TestFit2DContract:
     @staticmethod
-    def curve_fit_reference(density):
-        """MINPACK's fit of the same model from the same seed, with the analytic Jacobian.
+    def curve_fit_reference(density, mask):
+        """MINPACK's fit of the same model from the same seed, with the analytic
+        Jacobian, on the cells where ``mask`` is True: (parameters, rms residual).
 
         The tolerances are tight because MINPACK's default finite-difference
         Jacobian stops up to 1e-4 relative short of the minimum on noisy rasters.
         """
         vals = density.values
         coords = tuple(np.meshgrid(density.k_axis, density.p_axis, indexing="ij"))
-        flat = tuple(c.ravel() for c in coords)
-        init = (*moment_estimate(density), float(np.median(vals)))
+        flat = tuple(c[mask] for c in coords)
+        seed = dataclasses.replace(density, values=np.where(mask, vals, 0.0))
+        init = (*moment_estimate(seed), float(np.median(vals[mask])))
         popt, _ = optimize.curve_fit(
-            fitting._gauss2d, flat, vals.ravel(), p0=init,
+            fitting._gauss2d, flat, vals[mask], p0=init,
             jac=explicit_jacobian, xtol=1e-12, ftol=1e-12,
         )
-        return popt
+        return popt, math.sqrt(np.mean((fitting._gauss2d(flat, *popt) - vals[mask]) ** 2))
 
-    @pytest.mark.parametrize("mag", [-0.5, -1.0, -2.0])
-    def test_matches_curve_fit_reference(self, paper_dg, rng, mag):
+    @pytest.mark.parametrize(
+        "mag, masked", [(-0.5, False), (-1.0, False), (-2.0, False), (-1.0, True)],
+        ids=["-0.5", "-1.0", "-2.0", "-1.0-masked"],
+    )
+    def test_matches_curve_fit_reference(self, paper_dg, rng, mag, masked):
         quad = paper_quad(paper_dg, mag)
         dens = rasterized(quad, pitch=auto_pitch(quad), noise=0.003, rng=rng)
-        fit = fit_gaussian_2d(dens)
-        ref = self.curve_fit_reference(dens)
+        mask = rng.random(dens.values.shape) < 0.8 if masked else None
+        fit = fit_gaussian_2d(dens, mask)
+        ref, rms = self.curve_fit_reference(dens, np.ones(dens.values.shape, dtype=bool) if mask is None else mask)
+        assert fit.residual_rms == pytest.approx(rms, rel=1e-8)
+        if masked:
+            # what the masked-out cells hold does not reach the fit
+            poisoned = dataclasses.replace(dens, values=np.where(mask, dens.values, 1e6))
+            assert fit_gaussian_2d(poisoned, mask) == fit
         assert fit.theta_deg == pytest.approx(tilt_from_form(*ref[3:6]), abs=1e-4)
         np.testing.assert_allclose([fit.kk, fit.kp, fit.pp], ref[3:6], rtol=1e-5)
 
