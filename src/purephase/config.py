@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
+from .denoise import CleaningConfig
 from .states import DomainError
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
@@ -79,6 +81,20 @@ class RunConfig:
             raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.frames < 2 or self.calib_frames < 2:
             raise DomainError("frame counts must be at least 2")
+        if not (0.0 <= self.pixel_pitch_um < math.inf):
+            raise DomainError(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {self.pixel_pitch_um!r}")
+        # every density is arm_width_px square
+        self.cleaning().check_image((self.arm_width_px, self.arm_width_px))
+
+    def cleaning(self) -> CleaningConfig:
+        """Settings of the clean stage; CleaningConfig refuses invalid ones."""
+        return CleaningConfig(
+            wavelet_order=self.wavelet_order,
+            decomp_level=self.decomp_level,
+            psd_threshold=self.psd_threshold,
+            lowpass_cutoff=self.lowpass_cutoff,
+            kde_bandwidth=self.kde_bandwidth_px,
+        )
 
     @property
     def sigma_minus(self) -> float:

@@ -55,17 +55,14 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     n = stack.n_frames
     if n < 2:
         raise DomainError("density estimation needs at least 2 frames")
-    arm_k, arm_p = stack.arm_k, stack.arm_p
-    if stack.dual_arm and arm_k.shape[2] != arm_p.shape[2]:
-        raise DomainError("arm geometries do not match")
-    width = arm_k.shape[2]
+    width = stack.counts.shape[3]
     same = np.zeros((width, width))
     shifted = np.zeros((width, width))
     self_pairs = np.zeros(width)
     last_ck = None
     for start in range(0, n, _BLOCK_FRAMES):
-        ck = arm_k[start : start + _BLOCK_FRAMES].sum(axis=1, dtype=np.float64)
-        cp = arm_p[start : start + _BLOCK_FRAMES].sum(axis=1, dtype=np.float64) if stack.dual_arm else ck
+        columns = stack.counts[start : start + _BLOCK_FRAMES].sum(axis=2, dtype=np.float64)
+        ck, cp = columns[:, 0], columns[:, -1]  # a single arm pairs with itself
         same += ck.T @ cp
         shifted += ck[:-1].T @ cp[1:]
         if last_ck is not None:

@@ -8,13 +8,20 @@ accidental background the cleaning stage exists to remove).  Detector physics
 is reduced to pixel binning, optional uniform dark counts, and optional
 clipping to binary photon-counting frames.
 
-Split and single-arm stacks come from one kernel.  Determinism: frame j
-draws everything from its own RNG stream keyed by seed XOR j (frame_rng), so
-stacks are bit-identical regardless of evaluation order or stack length.
-Draws run frame by frame on one Philox per stack, re-keyed for each frame to
-the state a fresh frame_rng starts in; a pair's two routes are two bits of
-one raw 64-bit word.  The Cholesky product, binning, dark counts and clipping
-run once per chunk of frames, with a single np.bincount.
+A stack is one uint8 count array, (frames, arms, height, width): one arm
+for single-detector stacks, two (k, then p) for the split measurement.
+Synthesis builds it, the estimator reads both arms from it at once and PPF1
+writes it as it lies in memory.  Split and single-arm stacks come from one
+kernel.
+
+Determinism: frame j draws everything from its own Philox stream keyed by
+seed XOR j, so stacks are bit-identical regardless of evaluation order or
+stack length.  Seeds of distinct stacks must therefore differ above the
+bits of the largest frame index (the pipeline spaces them 2**24 apart), or
+their frames collide.  Draws run frame by frame on one Philox per stack,
+re-keyed for each frame; a pair's two routes are two bits of one raw 64-bit
+word.  The Cholesky product, binning, dark counts and clipping run once per
+chunk of frames, with a single np.bincount.
 """
 from __future__ import annotations
 
@@ -33,8 +40,6 @@ __all__ = [
     "DetectorConfig",
     "FrameStack",
     "OccupancyWarning",
-    "frame_rng",
-    "sample_rho_m",
     "synthesize_frames",
     "synthesize_joint",
     "synthesize_nearfield",
@@ -67,8 +72,10 @@ class DetectorConfig:
     keep_unsplit: bool = True  # keep both-photons-one-arm events
 
     def __post_init__(self):
-        if not (self.pixel_pitch > 0.0):
-            raise DomainError(f"pixel_pitch must be positive, got {self.pixel_pitch!r}")
+        if not (0.0 < self.pixel_pitch < math.inf):
+            raise DomainError(f"pixel_pitch must be positive and finite, got {self.pixel_pitch!r}")
+        if not -(2**63) <= self.seed < 2**63:  # the q field of the PPF1 header
+            raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.width < 2 or self.height < 1:
             raise DomainError("detector needs width >= 2 and height >= 1")
         if self.mean_pair_rate < 0.0 or self.dark_count_prob < 0.0:
@@ -81,20 +88,27 @@ class DetectorConfig:
 
 @dataclass
 class FrameStack:
-    """Stack of per-frame count images; arm_p is None for single-detector stacks."""
+    """Per-frame count images of one arm, or of arms k and p of the split measurement."""
 
-    arm_k: np.ndarray  # (n_frames, height, width) uint8
-    arm_p: np.ndarray | None
+    counts: np.ndarray  # (n_frames, arms, height, width) uint8
     detector: DetectorConfig
     metadata: dict = field(default_factory=dict)
 
     @property
     def n_frames(self) -> int:
-        return self.arm_k.shape[0]
+        return self.counts.shape[0]
 
     @property
     def dual_arm(self) -> bool:
-        return self.arm_p is not None
+        return self.counts.shape[1] == 2
+
+    @property
+    def arm_k(self) -> np.ndarray:
+        return self.counts[:, 0]
+
+    @property
+    def arm_p(self) -> np.ndarray | None:
+        return self.counts[:, 1] if self.dual_arm else None
 
     def pixel_centers(self) -> np.ndarray:
         w = self.detector.width
@@ -104,21 +118,6 @@ class FrameStack:
 def _frame_key(seed: int, frame_index: int) -> int:
     """Philox key of frame ``frame_index`` in a stack seeded with ``seed``."""
     return (int(seed) ^ int(frame_index)) & 0xFFFF_FFFF_FFFF_FFFF
-
-
-def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Independent per-frame stream: Philox keyed by seed XOR frame index.
-
-    Seeds of distinct stacks must differ by more than the largest frame index
-    (the pipeline spaces them 2**24 apart), otherwise streams collide.
-    """
-    return np.random.Generator(np.random.Philox(key=_frame_key(seed, frame_index)))
-
-
-def sample_rho_m(quad: MeasurementQuadratic, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws (x_k, x_p) from the measured bivariate Gaussian density."""
-    chol = np.linalg.cholesky(quad.covariance)
-    return rng.standard_normal((n, 2)) @ chol.T
 
 
 def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> None:
@@ -174,8 +173,8 @@ def _synthesize(
     photons take different paths (x_k lands in arm 0, x_p in arm 1),
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.  Without ``split`` both coordinates of every
-    pair land on the single arm.  Frame j draws, in this order, from the
-    stream of frame_rng(seed, j): the pair count, x normals, y normals (2d),
+    pair land on the single arm.  Frame j draws, in this order, from
+    Philox(key=seed ^ j): the pair count, x normals, y normals (2d),
     then for split stacks one raw 64-bit word per pair for the routes, x and
     y (2d) marginal normals, then one uniform per pixel and arm when dark
     counts are on.  The stack holds one Philox and re-keys it per frame to
@@ -271,7 +270,7 @@ def synthesize_frames(
         "amp_coeff": quad.amp_coeff,
         "cross_coeff": quad.cross_coeff,
     }
-    return FrameStack(images[:, 0], images[:, 1], det, meta)
+    return FrameStack(images, det, meta)
 
 
 def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -279,7 +278,7 @@ def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames
     cov = state.position_covariance()
     images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {"kind": "joint_position", "cov_11": cov[0, 0], "cov_12": cov[0, 1], "cov_22": cov[1, 1]}
-    return FrameStack(images[:, 0], None, det, meta)
+    return FrameStack(images, det, meta)
 
 
 def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -317,7 +316,7 @@ def synthesize_farfield(
         "sigma_minus_true": sm,
         "farfield_scale": scale,
     }
-    return FrameStack(images[:, 0], None, det, meta)
+    return FrameStack(images, det, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +334,13 @@ def write_framestack(stack: FrameStack, path) -> None:
     header = _HEADER.pack(
         _MAGIC, 1, flags, 0, stack.n_frames, det.height, det.width, det.pixel_pitch, det.seed
     )
-    arms = [stack.arm_k] + ([stack.arm_p] if stack.dual_arm else [])
-    frames = np.stack(arms, axis=1).reshape(stack.n_frames, len(arms), det.height * det.width)
+    frames = np.ascontiguousarray(stack.counts, dtype=np.uint8)
+    frames = frames.reshape(frames.shape[:2] + (det.height * det.width,))
     # each frame of each arm is packed (and padded to whole bytes) on its own
-    payload = np.packbits(frames, axis=2) if det.clip_to_binary else frames.astype(np.uint8)
+    payload = np.packbits(frames, axis=2) if det.clip_to_binary else frames
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        fh.write(payload)  # through the buffer protocol, without a bytes copy
     meta_path = str(path) + ".meta"
     keys = sorted(stack.metadata)
     with open(meta_path, "w") as fh:
@@ -367,14 +366,12 @@ def read_framestack(path) -> FrameStack:
         n_arms = 2 if dual else 1
         px = height * width
         frame_bytes = (px + 7) // 8 if binary else px
-        raw = bytearray(n_frames * n_arms * frame_bytes)  # writable, so the arms are too
+        raw = bytearray(n_frames * n_arms * frame_bytes)  # writable, so the counts are too
         if fh.readinto(raw) != len(raw):
             raise DomainError(f"{path} is truncated")
-    data = np.frombuffer(raw, dtype=np.uint8).reshape(n_frames, n_arms, frame_bytes)
+    frames = np.frombuffer(raw, dtype=np.uint8).reshape(n_frames, n_arms, frame_bytes)
     if binary:
-        frames = np.unpackbits(data, axis=2)[:, :, :px]
-    else:
-        frames = data
+        frames = np.unpackbits(frames, axis=2, count=px)
     frames = frames.reshape(n_frames, n_arms, height, width)
     metadata = {}
     meta_path = str(path) + ".meta"
@@ -397,4 +394,4 @@ def read_framestack(path) -> FrameStack:
         seed=seed,
         keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
     )
-    return FrameStack(frames[:, 0], frames[:, 1] if dual else None, det, metadata)
+    return FrameStack(frames, det, metadata)

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .config import RunConfig, mag_tag
-from .denoise import CleaningConfig, clean_density
+from .denoise import clean_density
 from .density import Density2D, read_density_csv, write_density_csv, write_density_pgm
 from .estimation import (
     autoconvolution_profile,
@@ -80,11 +80,15 @@ def _auto_pitch(quad, width: int) -> float:
     return math.ceil(100.0 * 9.0 * sigma / width) / 100.0
 
 
+def _pitch_for(cfg: RunConfig, quad) -> float:
+    """The configured pixel pitch, or the auto pitch of this magnification where it is 0."""
+    return cfg.pixel_pitch_um or _auto_pitch(quad, cfg.arm_width_px)
+
+
 def _detector_for(cfg: RunConfig, quad, seed: int) -> DetectorConfig:
-    pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(quad, cfg.arm_width_px)
     height = cfg.arm_height_px if cfg.mode == "2d" else 1
     return DetectorConfig(
-        pixel_pitch=pitch,
+        pixel_pitch=_pitch_for(cfg, quad),
         width=cfg.arm_width_px,
         height=height,
         mean_pair_rate=cfg.mean_pair_rate,
@@ -92,16 +96,6 @@ def _detector_for(cfg: RunConfig, quad, seed: int) -> DetectorConfig:
         clip_to_binary=bool(cfg.clip_binary),
         seed=seed,
         keep_unsplit=bool(cfg.keep_unsplit),
-    )
-
-
-def _cleaning(cfg: RunConfig) -> CleaningConfig:
-    return CleaningConfig(
-        wavelet_order=cfg.wavelet_order,
-        decomp_level=cfg.decomp_level,
-        psd_threshold=cfg.psd_threshold,
-        lowpass_cutoff=cfg.lowpass_cutoff,
-        kde_bandwidth=cfg.kde_bandwidth_px,
     )
 
 
@@ -195,8 +189,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
     columns = (cfg.magnifications, theta, abs(theta), np.full_like(theta, quad.kk), quad.kp, quad.pp, major, minor)
     for mag in cfg.magnifications:
         mag_quad = quad_for(cfg, mag)
-        pitch = cfg.pixel_pitch_um if cfg.pixel_pitch_um > 0.0 else _auto_pitch(mag_quad, cfg.arm_width_px)
-        _write_density(cfg, _rasterize(mag_quad, pitch, cfg.arm_width_px), f"predict_rho_{mag_tag(mag)}")
+        dens = _rasterize(mag_quad, _pitch_for(cfg, mag_quad), cfg.arm_width_px)
+        _write_density(cfg, dens, f"predict_rho_{mag_tag(mag)}")
     _write_table(
         cfg,
         "predict_tilt.csv",
@@ -230,7 +224,7 @@ def _estimate(cfg: RunConfig, mag: float, stack: FrameStack) -> Density2D:
 
 
 def _clean(cfg: RunConfig, mag: float, dens: Density2D) -> Density2D:
-    return _write_density(cfg, clean_density(dens, _cleaning(cfg)), f"cleaned_{mag_tag(mag)}")
+    return _write_density(cfg, clean_density(dens, cfg.cleaning()), f"cleaned_{mag_tag(mag)}")
 
 
 _FIT_COLUMNS = [

@@ -232,6 +232,18 @@ class TestCliErrors:
         cfg.write_text(f"out_dir={tmp_path}\nmagnifications=1.0\n")
         return cfg
 
+    @staticmethod
+    def refused_before_output(tmp_path, capsys, argv, line):
+        """Run argv with one more config line; expect one error line and an empty output directory."""
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(f"out_dir={out}\nmagnifications=1.0\nframes=300\n{line}\n")
+        out.mkdir()
+        assert cli.main([*argv, "--config", str(cfg)]) == 2
+        assert not list(out.iterdir())
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        return err
+
     @pytest.mark.parametrize("cut", [
         lambda text: text[: text.rindex(",") + 1],  # mid-row, right after a comma: an empty cell
         lambda text: text[: text.rindex(",")],  # mid-row at a comma: a short row
@@ -286,6 +298,21 @@ class TestCliErrors:
         # the ends of the range, the negative one included, still run
         for edge in (-(2**63), 2**63 - 1):
             assert cli.main([*argv, f"--seed={edge}"]) == 0
+
+    @pytest.mark.parametrize("verb", ["sweep", "simulate", "predict"])
+    @pytest.mark.parametrize("pitch", ["-3", "nan", "inf"])
+    def test_bad_pixel_pitch(self, tmp_path, capsys, verb, pitch):
+        err = self.refused_before_output(tmp_path, capsys, [verb], f"pixel_pitch_um={pitch}")
+        assert err.endswith(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {float(pitch)!r}")
+
+    @pytest.mark.parametrize("verb", ["sweep", "simulate"])
+    @pytest.mark.parametrize("key, message", [
+        ("psd_threshold=1.5", "psd_threshold must lie strictly between 0 and 1"),
+        ("decomp_level=7", "image (256, 256) too small for decomp_level=7 (maximum 6)"),
+    ])
+    def test_cleaning_keys_checked_when_config_loads(self, tmp_path, capsys, verb, key, message):
+        # refused before the first stage writes anything, even by verbs that do not clean
+        assert self.refused_before_output(tmp_path, capsys, [verb], key).endswith(message)
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PUREPHASE_THREADS", "1")

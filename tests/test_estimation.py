@@ -63,7 +63,7 @@ class TestEstimateDensity:
         det_b = DetectorConfig(8.0, 128, mean_pair_rate=2.0, seed=42 << 32)
         a = synthesize_joint(state, det_a, 6000)
         b = synthesize_joint(state, det_b, 6000)
-        stack = FrameStack(a.arm_k, b.arm_k, det_a, {})
+        stack = FrameStack(np.concatenate([a.counts, b.counts], axis=1), det_a, {})
         dens = estimate_density(stack, normalize=False)
         ck = a.arm_k.sum(axis=1).astype(float)
         cp = b.arm_k.sum(axis=1).astype(float)
@@ -144,7 +144,7 @@ class TestEstimateDensity:
         stack = synthesize_frames(quad, det, 10000)
         base = estimate_density(stack)
         perm = rng.permutation(stack.n_frames)
-        shuffled = FrameStack(stack.arm_k[perm], stack.arm_p[perm], det, {})
+        shuffled = FrameStack(stack.counts[perm], det, {})
         other = estimate_density(shuffled)
         fit_a = fit_gaussian_2d(base)
         fit_b = fit_gaussian_2d(other)
@@ -185,10 +185,10 @@ class TestStreamedSums:
         # and the first of the second: only the carried frame pairs them
         monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
         n = 14
-        arm = np.zeros((n, 1, 5), dtype=np.uint8)
-        arm[6, 0, 1] = 1
-        arm[7, 0, 3] = 1
-        stack = FrameStack(arm, None, DetectorConfig(10.0, 5), {})
+        counts = np.zeros((n, 1, 1, 5), dtype=np.uint8)
+        counts[6, 0, 0, 1] = 1
+        counts[7, 0, 0, 3] = 1
+        stack = FrameStack(counts, DetectorConfig(10.0, 5), {})
         values = estimate_density(stack, normalize=False).values
         expected = np.zeros((5, 5))
         expected[1, 3] = -1.0 / (n - 1)
@@ -198,8 +198,8 @@ class TestStreamedSums:
     def test_memory_independent_of_frame_count(self):
         # whole-stack float64 columns alone would take 20000 * 512 * 8 B = 82 MB
         rng = np.random.default_rng(33)
-        arm = rng.integers(0, 2, size=(20000, 1, 512), dtype=np.uint8)
-        stack = FrameStack(arm, None, DetectorConfig(3.25, 512), {})
+        counts = rng.integers(0, 2, size=(20000, 1, 1, 512), dtype=np.uint8)
+        stack = FrameStack(counts, DetectorConfig(3.25, 512), {})
         tracemalloc.start()
         try:
             estimate_density(stack, normalize=False)
@@ -240,7 +240,7 @@ class TestWidthCalibration:
         stack = synthesize_nearfield(paper_dg, det, 12000)
         est = sigma_minus_of(stack)
         perm = rng.permutation(stack.n_frames)
-        shuffled = FrameStack(stack.arm_k[perm], None, det, dict(stack.metadata))
+        shuffled = FrameStack(stack.counts[perm], det, dict(stack.metadata))
         est_shuffled = sigma_minus_of(shuffled)
         assert est_shuffled == pytest.approx(est, rel=0.01)
 

@@ -1,24 +1,25 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import purephase.pipeline as pl
 from purephase import frames
+from purephase.config import RunConfig
 from purephase.frames import (
     DetectorConfig,
     FrameStack,
     OccupancyWarning,
-    frame_rng,
     read_framestack,
-    sample_rho_m,
     synthesize_farfield,
     synthesize_frames,
     synthesize_joint,
     synthesize_nearfield,
     write_framestack,
 )
-from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
+from purephase.optics import PrepDesign, measurement_quadratic
 from purephase.states import DGParams, DomainError, dg_state, phase_plane_distance, pure_phase_params
 from conftest import WAVELENGTH, stack_columns
 
@@ -43,35 +44,6 @@ def quiet_detector(**kwargs) -> DetectorConfig:
     return DetectorConfig(**base)
 
 
-class TestSampleRhoM:
-    def test_uncorrelated_when_axis_aligned(self, paper_dg, rng):
-        from purephase.states import PurePhaseParams
-
-        quad = measurement_quadratic(PurePhaseParams(1.5e-6, 0.0), 15e4, -0.5, WAVELENGTH)
-        n = 200_000
-        draws = sample_rho_m(quad, n, rng)
-        corr = np.corrcoef(draws.T)[0, 1]
-        assert abs(corr) < 3.0 / math.sqrt(n)
-
-    def test_covariance_matches(self, paper_dg, rng):
-        quad = paper_quad(paper_dg)
-        draws = sample_rho_m(quad, 1_000_000, rng)
-        sample_cov = np.cov(draws.T)
-        assert np.allclose(sample_cov, quad.covariance, rtol=1e-2)
-
-    def test_principal_axis_matches_tilt(self, paper_dg, rng):
-        quad = paper_quad(paper_dg)
-        draws = sample_rho_m(quad, 1_000_000, rng)
-        vals, vecs = np.linalg.eigh(np.cov(draws.T))
-        major = vecs[:, int(np.argmax(vals))]
-        angle = math.degrees(math.atan2(major[0], major[1]))
-        if angle <= -90.0:
-            angle += 180.0
-        if angle > 90.0:
-            angle -= 180.0
-        assert angle == pytest.approx(tilt_angle(quad), abs=1.0)
-
-
 class TestDetectorConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -80,6 +52,21 @@ class TestDetectorConfig:
             DetectorConfig(pixel_pitch=10.0, width=1)
         with pytest.raises(DomainError):
             DetectorConfig(pixel_pitch=10.0, width=64, mean_pair_rate=-1.0)
+
+    @pytest.mark.parametrize("pitch", [-3.0, math.nan, math.inf])
+    def test_pitch_must_be_positive_and_finite(self, pitch):
+        with pytest.raises(DomainError, match="pixel_pitch must be positive and finite"):
+            DetectorConfig(pixel_pitch=pitch, width=64)
+
+    def test_seed_must_fit_the_ppf1_header(self, paper_dg, tmp_path):
+        for seed in (2**63, -(2**63) - 1):
+            with pytest.raises(DomainError, match=f"signed 64-bit integer, got {seed}"):
+                DetectorConfig(pixel_pitch=18.0, width=64, seed=seed)
+        # the ends of the range are written and read back unchanged
+        for seed in (-(2**63), 2**63 - 1):
+            path = tmp_path / "stack.ppf"
+            write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(seed=seed), 2), path)
+            assert read_framestack(path).detector.seed == seed
 
     def test_occupancy_warning_and_error(self, paper_dg):
         quad = paper_quad(paper_dg)
@@ -208,15 +195,6 @@ class TestSingleArmStacks:
         assert stack.metadata["cov_11"] == pytest.approx(state.position_covariance()[0, 0])
 
 
-class TestFrameRng:
-    def test_streams_differ_by_frame(self):
-        a = frame_rng(123, 0).random(4)
-        b = frame_rng(123, 1).random(4)
-        assert not np.array_equal(a, b)
-        again = frame_rng(123, 0).random(4)
-        assert np.array_equal(a, again)
-
-
 # builders of the stacks the re-keying is checked on, keyed by case name
 REKEY_CASES = {
     "split_1d_darks": lambda dg, seed, n: synthesize_frames(
@@ -291,6 +269,20 @@ class TestFileFormat:
         loaded = read_framestack(path)
         assert loaded.arm_p is None
         assert np.array_equal(loaded.arm_k, stack.arm_k)
+
+    @pytest.mark.parametrize("clip, bound", [(True, 0.15), (False, 0.05)])
+    def test_write_makes_no_stack_copy(self, tmp_path, clip, bound):
+        # bit packing allocates an eighth of the stack; writing allocates nothing more
+        cfg = RunConfig(clip_binary=int(clip))
+        quad = pl.quad_for(cfg, 1.0)
+        stack = synthesize_frames(quad, pl._detector_for(cfg, quad, cfg.seed), 4000)
+        tracemalloc.start()
+        try:
+            write_framestack(stack, tmp_path / "stack.ppf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * stack.counts.nbytes
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ppf"
