@@ -73,8 +73,8 @@ class RunConfig:
             raise DomainError("2d mode needs arm_height_px >= 2")
         if not self.magnifications:
             raise DomainError("magnification list must not be empty")
-        if any(m == 0.0 for m in self.magnifications):
-            raise DomainError("magnifications must be nonzero")
+        if not all(m != 0.0 and math.isfinite(m) for m in self.magnifications):
+            raise DomainError(f"magnifications must be nonzero and finite, got {self.magnifications}")
         if len({mag_tag(m) for m in self.magnifications}) < len(self.magnifications):
             raise DomainError(f"magnifications {self.magnifications} repeat an artifact tag (2 decimals)")
         if not -(2**63) <= self.seed < 2**63:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import Density2D
 from .states import DomainError
-from .wavelets import daubechies_filters, wavedec2, waverec2
+from .wavelets import check_divisible, daubechies_filters, wavedec2, waverec2
 
 __all__ = ["CleaningConfig", "marginal_image", "excess_g2", "clean_density", "psd_cutoff"]
 
@@ -50,6 +50,7 @@ class CleaningConfig:
                 f"image {shape} too small for decomp_level={self.decomp_level} "
                 f"(maximum {limit})"
             )
+        check_divisible(shape, self.decomp_level)
 
 
 def marginal_image(density: Density2D) -> Density2D:

@@ -116,7 +116,10 @@ def read_density_csv(path) -> Density2D:
             try:
                 if len(cells) != len(header):
                     raise ValueError(f"{len(cells)} cells where the header row has {len(header)}")
-                rows.append([float(c) for c in cells[1:]])
+                row = [float(c) for c in cells[1:]]
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite density value")
+                rows.append(row)
             except ValueError as exc:
                 raise DomainError(f"{path}, line {lineno}: {exc}") from None
     if header is None or not rows:

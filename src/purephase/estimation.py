@@ -149,15 +149,12 @@ def calibrate_sigma_plus(coords: np.ndarray, signal: np.ndarray, pitch: float, s
 
 
 def estimate_fedorov(density: Density2D) -> float:
-    """Marginal width over conditional width, from one 2D Gaussian fit.
+    """Marginal width over conditional width of one 2D Gaussian fit's form.
 
-    Under the fitted form amp * exp(-(kk dk^2 + 2 kp dk dp + pp dp^2)), k has
-    marginal variance pp / (2 (kk pp - kp^2)) and conditional variance
-    1 / (2 kk), so F = sqrt(kk pp / (kk pp - kp^2)), the same for p.  When
-    both axes describe the same pixel grid the diagonal cells are left out of
-    the fit: a photon-counting pixel cannot register both photons of a pair.
+    When both axes describe the same pixel grid the diagonal cells are left
+    out of the fit: a photon-counting pixel cannot register both photons of a
+    pair.
     """
     n, m = density.values.shape
     same_grid = n == m and (density.k_origin, density.k_pitch) == (density.p_origin, density.p_pitch)
-    fit = fit_gaussian_2d(density, ~np.eye(n, dtype=bool) if same_grid else None)
-    return math.sqrt(fit.kk * fit.pp / (fit.kk * fit.pp - fit.kp**2))
+    return fit_gaussian_2d(density, ~np.eye(n, dtype=bool) if same_grid else None).fedorov_ratio

@@ -19,7 +19,7 @@ import numpy as np
 
 from .density import Density2D
 from .optics import measurement_quadratic, principal_angle_deg, principal_widths, tilt_angle, tilt_from_form
-from .states import PurePhaseParams
+from .states import DomainError, GaussianForm, PurePhaseParams
 
 __all__ = [
     "FitError",
@@ -90,21 +90,14 @@ def fit_gaussian_1d(x, y) -> Fit1D:
 
 
 @dataclass(frozen=True)
-class GaussianFit2D:
+class GaussianFit2D(GaussianForm):
     """Generalised 2D Gaussian: amp * exp(-(kk*dk^2 + 2*kp*dk*dp + pp*dp^2)) + offset."""
 
     amplitude: float
     center_k: float
     center_p: float
-    kk: float
-    kp: float
-    pp: float
     offset: float
     residual_rms: float
-
-    def __post_init__(self):
-        if not (self.kk > 0.0 and self.pp > 0.0 and self.kk * self.pp > self.kp**2):
-            raise FitError("fitted quadratic form is not positive definite")
 
     @property
     def theta_deg(self) -> float:
@@ -328,7 +321,14 @@ def fit_gaussian_2d(density: Density2D, mask=None) -> GaussianFit2D:
         x0, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r, used.size),
         vals.shape, _MAX_ITER * 10, "2D Gaussian fit",
     )
-    return GaussianFit2D(*map(float, x), rnorm / math.sqrt(used.size))
+    amplitude, center_k, center_p, kk, kp, pp, offset = map(float, x)
+    try:
+        return GaussianFit2D(
+            kk=kk, kp=kp, pp=pp, amplitude=amplitude, center_k=center_k, center_p=center_p,
+            offset=offset, residual_rms=rnorm / math.sqrt(used.size),
+        )
+    except DomainError:
+        raise FitError("fitted quadratic form is not positive definite") from None
 
 
 def fit_magnification_curve(

@@ -26,6 +26,7 @@ chunk of frames, with a single np.bincount.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import sys
 import warnings
@@ -33,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optics import MeasurementQuadratic
-from .states import DGParams, DomainError, GaussianBiphotonState, dg_state
+from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, dg_state
 
 __all__ = [
     "DetectorConfig",
@@ -249,9 +249,7 @@ def _synthesize(
     return images, n_pairs_total, n_split_total
 
 
-def synthesize_frames(
-    quad: MeasurementQuadratic, det: DetectorConfig, n_frames: int
-) -> FrameStack:
+def synthesize_frames(quad: GaussianForm, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Photon-counting frames of the split measurement for both arms.
 
     Per frame: Poisson(mean_pair_rate) pairs; each splits with probability 1/2
@@ -267,8 +265,6 @@ def synthesize_frames(
         "quad_kk": quad.kk,
         "quad_kp": quad.kp,
         "quad_pp": quad.pp,
-        "amp_coeff": quad.amp_coeff,
-        "cross_coeff": quad.cross_coeff,
     }
     return FrameStack(images, det, meta)
 
@@ -366,8 +362,14 @@ def read_framestack(path) -> FrameStack:
         n_arms = 2 if dual else 1
         px = height * width
         frame_bytes = (px + 7) // 8 if binary else px
-        raw = bytearray(n_frames * n_arms * frame_bytes)  # writable, so the counts are too
-        if fh.readinto(raw) != len(raw):
+        size = n_frames * n_arms * frame_bytes
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held != size:  # checked before allocating: a corrupt frame count can imply terabytes
+            raise DomainError(
+                f"{path} is truncated or corrupt: it holds {held} payload bytes, its header implies {size}"
+            )
+        raw = bytearray(size)  # writable, so the counts are too
+        if fh.readinto(raw) != size:
             raise DomainError(f"{path} is truncated")
     frames = np.frombuffer(raw, dtype=np.uint8).reshape(n_frames, n_arms, frame_bytes)
     if binary:

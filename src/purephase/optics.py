@@ -24,6 +24,7 @@ from .states import (
     DGParams,
     DomainError,
     GaussianBiphotonState,
+    GaussianForm,
     PurePhaseParams,
     dg_state,
     phase_plane_distance,
@@ -43,7 +44,6 @@ __all__ = [
     "PrepDesign",
     "prepare_p3",
     "partial_fourier",
-    "MeasurementQuadratic",
     "measurement_quadratic",
     "tilt_angle",
     "tilt_from_form",
@@ -329,49 +329,21 @@ def prepare_p3(params: DGParams, wavelength: float, design: PrepDesign) -> Gauss
 # split measurement model
 
 
-@dataclass(frozen=True)
-class MeasurementQuadratic:
-    """Exponent coefficients of the measured joint density.
-
-    rho(x_k, x_p) is proportional to exp(-(kk*x_k^2 + 2*kp*x_k*x_p + pp*x_p^2))
-    where x_k is the Fourier-arm and x_p the imaging-arm camera coordinate.
-    amp_coeff and cross_coeff record the (already magnification-scaled)
-    pure-phase coefficients the density was derived from.  For an array of
-    imaging magnifications kp and pp are arrays over them; kk does not depend
-    on the magnification.
-    """
-
-    kk: float
-    kp: float | np.ndarray
-    pp: float | np.ndarray
-    amp_coeff: float
-    cross_coeff: float
-
-    def __post_init__(self):
-        if not (self.kk > 0.0 and np.all(self.pp > 0.0)):
-            raise DomainError("density coefficients kk and pp must be positive")
-        if np.any(self.kk * self.pp - self.kp * self.kp <= 0.0):
-            raise DomainError("density quadratic form must be positive definite")
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """Covariance of the bivariate Gaussian density, (2*form)^-1 (one magnification)."""
-        det = self.kk * self.pp - self.kp * self.kp
-        return np.array([[self.pp, -self.kp], [-self.kp, self.kk]]) / (2.0 * det)
-
-
 def measurement_quadratic(
     scaled: PurePhaseParams,
     fourier_focal: float,
     imaging_mag,
     wavelength: float,
-) -> MeasurementQuadratic:
+) -> GaussianForm:
     """Joint density of the split measurement for given arm settings.
 
+    The density is proportional to exp(-(kk*x_k^2 + 2*kp*x_k*x_p + pp*x_p^2)),
+    where x_k is the Fourier-arm and x_p the imaging-arm camera coordinate.
     ``scaled`` holds the pure-phase coefficients at the prepared plane (i.e.
     already divided by the preparation magnification squared).  imaging_mag is
     the signed single-lens magnification of the position arm, a scalar or an
-    array of them; a scalar gives float coefficients.
+    array of them; a scalar gives float coefficients.  For an array kp and pp
+    are arrays over it; kk does not depend on the magnification.
     """
     if not (fourier_focal > 0.0):
         raise DomainError(f"fourier_focal must be positive, got {fourier_focal!r}")
@@ -384,7 +356,7 @@ def measurement_quadratic(
     kk = 2.0 * math.pi**2 / (lam_f * lam_f * a)
     kp = math.pi * b / (lam_f * imaging_mag * a)
     pp = 2.0 * a / imaging_mag**2 + b * b / (2.0 * imaging_mag**2 * a)
-    return MeasurementQuadratic(kk, kp, pp, a, b)
+    return GaussianForm(kk, kp, pp)
 
 
 def _float_if_scalar(x):
@@ -412,22 +384,18 @@ def tilt_from_form(kk, kp, pp):
     return _float_if_scalar(np.where(isotropic, np.nan, principal_angle_deg(-raw)))
 
 
-def tilt_angle(quad: MeasurementQuadratic):
+def tilt_angle(quad: GaussianForm):
     """Tilt of the measured density's major axis from the position axis."""
     return tilt_from_form(quad.kk, quad.kp, quad.pp)
 
 
-def principal_widths(quad) -> tuple:
+def principal_widths(form: GaussianForm) -> tuple:
     """(major, minor) standard deviations 1/sqrt(2*eigenvalue) of a density form.
 
-    ``quad`` is anything with kk, kp and pp coefficients (scalars or arrays).
     The 2x2 eigenvalues are closed form; the minor one is det/lambda_max, which
     keeps its relative accuracy where the difference of the two would cancel.
     """
-    kk, kp, pp = quad.kk, quad.kp, quad.pp
-    lam_max = 0.5 * (kk + pp) + np.hypot(0.5 * (kk - pp), kp)
-    lam_min = (kk * pp - kp * kp) / lam_max
-    if np.any(lam_min <= 0.0):
-        raise DomainError("density quadratic form has a non-positive eigenvalue")
+    lam_max = 0.5 * (form.kk + form.pp) + np.hypot(0.5 * (form.kk - form.pp), form.kp)
+    lam_min = form.det / lam_max
     major, minor = 1.0 / np.sqrt(2.0 * lam_min), 1.0 / np.sqrt(2.0 * lam_max)
     return _float_if_scalar(major), _float_if_scalar(minor)

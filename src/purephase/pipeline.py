@@ -75,8 +75,7 @@ def quad_for(cfg: RunConfig, mag: float):
 
 
 def _auto_pitch(quad, width: int) -> float:
-    cov = quad.covariance
-    sigma = math.sqrt(max(cov[0, 0], cov[1, 1]))
+    sigma = max(quad.marginal_std(0), quad.marginal_std(1))
     return math.ceil(100.0 * 9.0 * sigma / width) / 100.0
 
 
@@ -208,7 +207,10 @@ def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
     quad = quad_for(cfg, mag)
     det = _detector_for(cfg, quad, cfg.seed ^ ((index + 1) * _SEED_MAG_STRIDE))
     stack = synthesize_frames(quad, det, cfg.frames)
+    scaled = scaled_params(cfg)
     stack.metadata.update(
+        amp_coeff=scaled.amp_coeff,
+        cross_coeff=scaled.cross_coeff,
         magnification=mag,
         fourier_focal_um=cfg.fm_um,
         wavelength_um=cfg.wavelength_um,

@@ -15,12 +15,13 @@ actions live in :mod:`purephase.optics`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 __all__ = [
     "DomainError",
+    "GaussianForm",
     "DGParams",
     "PurePhaseParams",
     "MomentumParams",
@@ -47,6 +48,49 @@ def _require_positive(name: str, value: float) -> float:
     if not (value > 0.0) or not math.isfinite(value):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+@dataclass(frozen=True)
+class GaussianForm:
+    """Real 2x2 form of the Gaussian density exp(-(kk x^2 + 2 kp x y + pp y^2)).
+
+    The one place that checks a form is positive definite and derives its
+    determinant, covariance, widths and Fedorov ratio.  kp and pp may be
+    arrays of forms sharing kk (one per imaging magnification); ``det``
+    takes them elementwise, the other members need scalars.
+    """
+
+    kk: float
+    kp: float | np.ndarray
+    pp: float | np.ndarray
+
+    def __post_init__(self):
+        if not (self.kk > 0.0 and np.all(self.pp > 0.0) and np.all(self.det > 0.0)):
+            raise DomainError("density quadratic form must be positive definite")
+
+    @property
+    def det(self):
+        return self.kk * self.pp - self.kp * self.kp
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """Covariance of the density, (2 form)^-1."""
+        return np.array([[self.pp, -self.kp], [-self.kp, self.kk]]) / (2.0 * self.det)
+
+    def marginal_std(self, axis: int) -> float:
+        """Width of the density's marginal along axis 0 (x) or 1 (y)."""
+        return math.sqrt(self.covariance[axis, axis])
+
+    def conditional_std(self, axis: int) -> float:
+        """Width along one axis with the other coordinate fixed."""
+        return 1.0 / math.sqrt(2.0 * (self.kk, self.pp)[axis])
+
+    @property
+    def fedorov_ratio(self) -> float:
+        """Marginal over conditional width: x has marginal variance pp / (2 det)
+        and conditional variance 1 / (2 kk), so F = sqrt(kk pp / det), the
+        same for y."""
+        return math.sqrt(self.kk * self.pp / self.det)
 
 
 @dataclass(frozen=True)
@@ -106,24 +150,6 @@ class MomentumParams:
     cross_coeff: float
 
 
-def _log_norm_for(m11: complex, m22: complex, m12: complex) -> float:
-    """Log-amplitude that normalises the quadratic form to unit L2 norm."""
-    det_w = _intensity_det(m11, m22, m12)
-    if det_w <= 0.0 or m11.real <= 0.0 or m22.real <= 0.0:
-        raise DomainError(
-            "state is not normalizable: Re(M) must be positive definite "
-            f"(m11={m11!r}, m22={m22!r}, m12={m12!r})"
-        )
-    return 0.25 * math.log(det_w) - 0.5 * math.log(math.pi)
-
-
-def _intensity_det(m11: complex, m22: complex, m12: complex) -> float:
-    w11 = 2.0 * m11.real
-    w22 = 2.0 * m22.real
-    w12 = 2.0 * m12.real
-    return w11 * w22 - w12 * w12
-
-
 @dataclass(frozen=True)
 class GaussianBiphotonState:
     """Complex quadratic form of a two-photon Gaussian wavefunction.
@@ -138,37 +164,34 @@ class GaussianBiphotonState:
     m12: complex
     log_norm: complex
     wavelength: float
+    # W = 2 Re(M): |psi|^2 = exp(2 Re log_norm) * exp(-x^T W x)
+    position_form: GaussianForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_positive("wavelength", self.wavelength)
-        if not (self.m11.real > 0.0 and self.m22.real > 0.0):
-            raise DomainError(
-                "state is not normalizable: Re(m11) and Re(m22) must be positive "
-                f"(got {self.m11!r}, {self.m22!r})"
-            )
-        if _intensity_det(self.m11, self.m22, self.m12) <= 0.0:
+        try:
+            form = GaussianForm(2.0 * self.m11.real, 2.0 * self.m12.real, 2.0 * self.m22.real)
+        except DomainError:
             raise DomainError(
                 "state is not normalizable: Re(M) must be positive definite "
-                f"(m12={self.m12!r})"
-            )
+                f"(m11={self.m11!r}, m22={self.m22!r}, m12={self.m12!r})"
+            ) from None
+        object.__setattr__(self, "position_form", form)
 
     @classmethod
     def from_quadratic(cls, m11, m22, m12, wavelength) -> "GaussianBiphotonState":
         """Build a normalised state from quadratic-form coefficients."""
-        m11, m22, m12 = complex(m11), complex(m22), complex(m12)
-        return cls(m11, m22, m12, complex(_log_norm_for(m11, m22, m12)), float(wavelength))
+        state = cls(complex(m11), complex(m22), complex(m12), 0j, float(wavelength))
+        log_norm = 0.25 * math.log(state.position_form.det) - 0.5 * math.log(math.pi)
+        return replace(state, log_norm=complex(log_norm))
 
     # -- structure ---------------------------------------------------------
 
     @property
     def intensity_form(self) -> np.ndarray:
-        """W = 2 Re(M); |psi|^2 = exp(2 Re log_norm) * exp(-x^T W x)."""
-        return np.array(
-            [
-                [2.0 * self.m11.real, 2.0 * self.m12.real],
-                [2.0 * self.m12.real, 2.0 * self.m22.real],
-            ]
-        )
+        """W = 2 Re(M) as a 2x2 array."""
+        w = self.position_form
+        return np.array([[w.kk, w.kp], [w.kp, w.pp]])
 
     def is_exchange_symmetric(self, rtol: float = 1e-10) -> bool:
         """Whether m11 == m22 within rtol (photon-exchange symmetry)."""
@@ -179,8 +202,7 @@ class GaussianBiphotonState:
 
     def norm(self) -> float:
         """Closed-form value of the Gaussian integral of |psi|^2."""
-        det_w = _intensity_det(self.m11, self.m22, self.m12)
-        return math.exp(2.0 * self.log_norm.real) * math.pi / math.sqrt(det_w)
+        return math.exp(2.0 * self.log_norm.real) * math.pi / math.sqrt(self.position_form.det)
 
     def evaluate(self, x1, x2) -> np.ndarray:
         """Pointwise complex amplitude; x1, x2 broadcast like numpy arrays."""
@@ -198,9 +220,7 @@ class GaussianBiphotonState:
 
     def position_covariance(self) -> np.ndarray:
         """Covariance of (x1, x2) under |psi|^2, i.e. (2 W)^-1."""
-        w = self.intensity_form
-        det_w = _intensity_det(self.m11, self.m22, self.m12)
-        return np.array([[w[1, 1], -w[0, 1]], [-w[1, 0], w[0, 0]]]) / (2.0 * det_w)
+        return self.position_form.covariance
 
     def momentum_covariance(self) -> np.ndarray:
         """Covariance of (q1, q2): Re M + Im M (Re M)^-1 Im M for a pure Gaussian."""
@@ -210,13 +230,11 @@ class GaussianBiphotonState:
 
     def marginal_position_std(self, photon: int = 1) -> float:
         """Width of one photon's marginal intensity distribution."""
-        cov = self.position_covariance()
-        return math.sqrt(cov[_axis(photon), _axis(photon)])
+        return self.position_form.marginal_std(_axis(photon))
 
     def conditional_position_std(self, photon: int = 1) -> float:
         """Width of one photon's distribution with the other photon's position fixed."""
-        w = self.intensity_form
-        return 1.0 / math.sqrt(2.0 * w[_axis(photon), _axis(photon)])
+        return self.position_form.conditional_std(_axis(photon))
 
 
 def _axis(photon: int) -> int:
@@ -312,11 +330,7 @@ def fedorov_ratio(state: GaussianBiphotonState) -> float:
     Equals 1 exactly when Re(m12) = 0, i.e. when no amplitude correlations
     remain and the entanglement lives purely in the phase.
     """
-    w = state.intensity_form
-    det_w = _intensity_det(state.m11, state.m22, state.m12)
-    if det_w <= 0.0 or w[0, 0] <= 0.0:
-        raise DomainError("degenerate intensity form; Fedorov ratio undefined")
-    return math.sqrt(w[0, 0] * w[1, 1] / det_w)
+    return state.position_form.fedorov_ratio
 
 
 def conditional_momentum(params: PurePhaseParams, x: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .states import DomainError
 
-__all__ = ["daubechies_filters", "dwt2", "idwt2", "wavedec2", "waverec2"]
+__all__ = ["daubechies_filters", "check_divisible", "dwt2", "idwt2", "wavedec2", "waverec2"]
 
 
 @lru_cache(maxsize=None)
@@ -90,16 +90,21 @@ def idwt2(approx: np.ndarray, details, order: int) -> np.ndarray:
     return _synthesis_axis(lo, hi, h, g, 0)
 
 
-def wavedec2(img: np.ndarray, order: int, level: int):
-    """[approx_L, details_L, ..., details_1] multi-level decomposition."""
-    if level < 1:
-        raise DomainError("decomposition level must be >= 1")
-    for dim in img.shape:
+def check_divisible(shape, level: int) -> None:
+    """Refuse a shape that ``level`` periodized levels cannot halve."""
+    for dim in shape:
         if dim % (1 << level) != 0:
             raise DomainError(
                 f"image dimension {dim} is not divisible by 2^{level}; "
                 "reduce the decomposition level or pad the image"
             )
+
+
+def wavedec2(img: np.ndarray, order: int, level: int):
+    """[approx_L, details_L, ..., details_1] multi-level decomposition."""
+    if level < 1:
+        raise DomainError("decomposition level must be >= 1")
+    check_divisible(img.shape, level)
     coeffs = []
     approx = np.asarray(img, dtype=float)
     for _ in range(level):

@@ -11,6 +11,7 @@ from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
 from purephase.density import Density2D, read_density_csv, write_density_csv
 from purephase.fitting import fit_gaussian_2d
+from purephase.frames import _HEADER
 from purephase.states import DomainError
 
 pytestmark = pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
@@ -248,7 +249,9 @@ class TestCliErrors:
         lambda text: text[: text.rindex(",") + 1],  # mid-row, right after a comma: an empty cell
         lambda text: text[: text.rindex(",")],  # mid-row at a comma: a short row
         lambda text: text[: text.rindex(",") + 1] + "abc\n",  # a non-numeric cell
-    ], ids=["empty-cell", "short-row", "non-numeric"])
+        lambda text: text[: text.rindex(",") + 1] + "nan\n",  # non-finite cells
+        lambda text: text[: text.rindex(",") + 1] + "-inf\n",
+    ], ids=["empty-cell", "short-row", "non-numeric", "nan-cell", "inf-cell"])
     def test_malformed_density_row(self, tmp_path, capsys, cut):
         cfg = self.one_mag_config(tmp_path)
         path = tmp_path / "density_m+1.00.csv"
@@ -280,6 +283,16 @@ class TestCliErrors:
         assert len(err.splitlines()) == 1
         assert err.endswith("truncated header")
 
+    def test_ppf1_frame_count_beyond_the_file(self, tmp_path, capsys):
+        # the header claims 4e9 binary frames of 65535 px: refused before allocating about 33 TB
+        cfg = self.one_mag_config(tmp_path)
+        path = tmp_path / "frames_m+1.00.ppf"
+        path.write_bytes(_HEADER.pack(b"PPF1", 1, 1, 0, 4_000_000_000, 1, 65535, 1.0, 0) + bytes(100))
+        assert cli.main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"{path} is truncated or corrupt: it holds 100 payload bytes, its header implies 32768000000000")
+
     def test_colliding_magnification_tags(self, tmp_path, capsys):
         # 1.004 and 1.0 would both write frames_m+1.00.ppf and the rest of that set
         assert cli.main(["sweep", "--out", str(tmp_path), "--frames", "300", "--mag=1.0,1.004,2.0"]) == 2
@@ -287,6 +300,12 @@ class TestCliErrors:
         assert len(err.splitlines()) == 1
         assert "repeat an artifact tag" in err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mag", ["nan", "inf"])
+    def test_non_finite_magnification(self, tmp_path, capsys, mag):
+        # refused at load, before the finite magnifications ahead of it are swept
+        err = self.refused_before_output(tmp_path, capsys, ["sweep"], f"magnifications=1.0,{mag}")
+        assert err.endswith(f"magnifications must be nonzero and finite, got (1.0, {float(mag)!r})")
 
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
     def test_seed_outside_int64(self, tmp_path, capsys, seed):
@@ -309,6 +328,7 @@ class TestCliErrors:
     @pytest.mark.parametrize("key, message", [
         ("psd_threshold=1.5", "psd_threshold must lie strictly between 0 and 1"),
         ("decomp_level=7", "image (256, 256) too small for decomp_level=7 (maximum 6)"),
+        ("arm_width_px=130", "image dimension 130 is not divisible by 2^2; reduce the decomposition level or pad the image"),
     ])
     def test_cleaning_keys_checked_when_config_loads(self, tmp_path, capsys, verb, key, message):
         # refused before the first stage writes anything, even by verbs that do not clean

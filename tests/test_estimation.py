@@ -226,7 +226,7 @@ class TestWidthCalibration:
         # with sigma_plus = sigma_minus the pair-separation and pair-sum
         # distributions coincide, so both calibrations return the same width
         params = DGParams(60.0, 60.0)
-        near_det = DetectorConfig(8.0, 512, mean_pair_rate=2.0, seed=26)
+        near_det = DetectorConfig(8.0, 512, mean_pair_rate=0.9, seed=26)
         far_det = DetectorConfig(10.0, 512, mean_pair_rate=2.0, seed=27)
         near = synthesize_nearfield(params, near_det, 12000)
         far = synthesize_farfield(params, far_det, 12000, 15e4, WAVELENGTH)

@@ -10,7 +10,6 @@ from purephase.optics import (
     FourierLens,
     Fresnel,
     LensImaging,
-    MeasurementQuadratic,
     PrepDesign,
     QuadraticPhase,
     Scale,
@@ -27,6 +26,7 @@ from purephase.optics import (
 from purephase.states import (
     DGParams,
     DomainError,
+    GaussianForm,
     PurePhaseParams,
     conditional_momentum,
     dg_state,
@@ -317,9 +317,7 @@ class TestTiltAngle:
 
     def test_scale_invariance(self, paper_dg):
         quad = self.make_quad(paper_dg, -0.75)
-        scaled = MeasurementQuadratic(
-            3.7 * quad.kk, 3.7 * quad.kp, 3.7 * quad.pp, quad.amp_coeff, quad.cross_coeff
-        )
+        scaled = GaussianForm(3.7 * quad.kk, 3.7 * quad.kp, 3.7 * quad.pp)
         assert tilt_angle(scaled) == pytest.approx(tilt_angle(quad), abs=1e-12)
 
     def test_mirror_symmetry(self, paper_dg):
@@ -332,7 +330,7 @@ class TestTiltAngle:
 
 class TestPrincipalWidths:
     def test_axis_aligned(self):
-        quad = MeasurementQuadratic(4e-3, 0.0, 1e-3, 1.0, 0.0)
+        quad = GaussianForm(4e-3, 0.0, 1e-3)
         major, minor = principal_widths(quad)
         assert major == pytest.approx(1.0 / math.sqrt(2e-3), rel=1e-12)
         assert minor == pytest.approx(1.0 / math.sqrt(8e-3), rel=1e-12)
@@ -428,6 +426,6 @@ class TestVectorizedModel:
     def test_minor_eigenvalue_is_stable(self):
         # eigenvalues 1e6 and 1e-6: a difference of nearly equal terms would
         # keep only about four digits of the small one
-        major, minor = principal_widths(MeasurementQuadratic(1e6, 0.0, 1e-6, 1.0, 0.0))
+        major, minor = principal_widths(GaussianForm(1e6, 0.0, 1e-6))
         assert major == pytest.approx(1.0 / math.sqrt(2e-6), rel=1e-14)
         assert minor == pytest.approx(1.0 / math.sqrt(2e6), rel=1e-14)
