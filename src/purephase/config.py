@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .denoise import CleaningConfig
+from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX
 from .states import DomainError
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
@@ -22,6 +23,16 @@ __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
 def mag_tag(mag: float) -> str:
     """Artifact file-name tag of one magnification; RunConfig keeps them distinct."""
     return f"m{mag:+.2f}"
+
+
+# keys whose values a PPF1 header stores, and the largest value each field holds
+_PPF1_LIMITS = {
+    "arm_width_px": PPF1_MAX_PX,
+    "arm_height_px": PPF1_MAX_PX,
+    "calib_width_px": PPF1_MAX_PX,
+    "frames": PPF1_MAX_FRAMES,
+    "calib_frames": PPF1_MAX_FRAMES,
+}
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,9 @@ class RunConfig:
             raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.frames < 2 or self.calib_frames < 2:
             raise DomainError("frame counts must be at least 2")
+        for key, limit in _PPF1_LIMITS.items():
+            if getattr(self, key) > limit:
+                raise DomainError(f"{key} must be at most {limit}, the PPF1 header's limit, got {getattr(self, key)}")
         if not (0.0 <= self.pixel_pitch_um < math.inf):
             raise DomainError(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {self.pixel_pitch_um!r}")
         # every density is arm_width_px square

@@ -6,6 +6,12 @@ product, which is cheap and valid because photon pairs decorrelate from one
 frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
 Both products are accumulated in one pass over blocks of frames, so memory is
 O(B*W + W^2) for blocks of B frames of W pixels, whatever the frame count.
+Each block picks its kernel from its own counts: a sparse block, with at
+most B*W same-frame and next-frame pairs of nonzero pixels (photon-counting
+frames of up to about sqrt(W/2) counts), adds its pair list with one
+np.bincount per sum; any other block multiplies its dense columns.  Every
+partial sum is an exact integer in float64, so both kernels give the same
+bytes.
 Width calibration reads both of its profiles off that one estimator: on a
 single-arm stack the autocorrelation (position arm) is the sum of the pair
 counts along each diagonal x_j - x_i, the autoconvolution (momentum arm) the
@@ -33,8 +39,31 @@ __all__ = [
 ]
 
 
-# frames per block of the streamed sums; bounds the float64 column temporaries
+# frames per block of the streamed sums; bounds the column and pair-list temporaries
 _BLOCK_FRAMES = 1024
+
+
+def _nonzero_bytes(flat: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero entries of a contiguous 1D uint8 array, scanned eight bytes at a time."""
+    if flat.size % 8:
+        return np.flatnonzero(flat)
+    words = flat.view(np.uint64)
+    hit = np.flatnonzero(words)
+    sub = np.flatnonzero(words[hit].view(np.uint8))
+    return hit[sub >> 3] * 8 + (sub & 7)
+
+
+def _pair_sum(x, weight, k_events, frames, starts, sizes, width) -> np.ndarray:
+    """W x W sums of weight products over the pairs (k event, p event of its given frame).
+
+    The p events of frame f are ``starts[f]`` to ``starts[f] + sizes[f]`` of
+    the event list; each k event meets every one of them.
+    """
+    reps = sizes[frames]
+    k = np.repeat(k_events, reps)
+    p = np.repeat(starts[frames] - (np.cumsum(reps) - reps), reps) + np.arange(k.size)
+    cells = np.bincount(x[k] * width + x[p], weight[k] * weight[p], minlength=width * width)
+    return cells.reshape(width, width)
 
 
 def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
@@ -47,29 +76,54 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
 
     One pass over blocks of ``_BLOCK_FRAMES`` frames sums the same-frame
     products ck^T cp and the next-frame products, carrying each block's last
-    frame into the next block; memory is O(B*W + W^2).  Counts are small
-    integers, so every partial sum is an integer and exact in float64 while
-    N*(255*H)^2 < 2^53 (N frames of height H): the result does not depend on
-    the block size, the summation order or the BLAS kernel.
+    column into the next block.  Each block picks its kernel from its nonzero
+    pixels ("events"): when the same-frame and next-frame event pairs of a
+    block of B frames number at most B*W, one np.bincount per sum adds their
+    count products over the cells x_k*W + x_p; otherwise two dense float64
+    products of the block's columns do.  Either way memory is O(B*W + W^2).
+    Counts are small integers, so every partial sum is an integer and exact
+    in float64 while N*(255*H)^2 < 2^53 (N frames of height H): the result
+    does not depend on the kernel, the block size, the summation order or
+    the BLAS kernel.
     """
     n = stack.n_frames
     if n < 2:
         raise DomainError("density estimation needs at least 2 frames")
-    width = stack.counts.shape[3]
+    _, arms, height, width = stack.counts.shape
     same = np.zeros((width, width))
     shifted = np.zeros((width, width))
     self_pairs = np.zeros(width)
     last_ck = None
     for start in range(0, n, _BLOCK_FRAMES):
-        columns = stack.counts[start : start + _BLOCK_FRAMES].sum(axis=2, dtype=np.float64)
-        ck, cp = columns[:, 0], columns[:, -1]  # a single arm pairs with itself
-        same += ck.T @ cp
-        shifted += ck[:-1].T @ cp[1:]
+        block = stack.counts[start : start + _BLOCK_FRAMES]
+        b = block.shape[0]
         if last_ck is not None:
-            shifted += np.outer(last_ck, cp[0])
-        if not stack.dual_arm:
-            self_pairs += ck.sum(axis=0)
-        last_ck = ck[-1]
+            shifted += np.outer(last_ck, block[0, -1].sum(axis=0, dtype=np.float64))
+        last_ck = block[-1, 0].sum(axis=0, dtype=np.float64)
+        sizes = np.count_nonzero(block.reshape(b, arms, -1), axis=2)  # events per frame and arm
+        nk, n_p = sizes[:, 0], sizes[:, -1]
+        if nk @ n_p + nk[:-1] @ n_p[1:] > b * width:
+            columns = block.sum(axis=2, dtype=np.float64)
+            ck, cp = columns[:, 0], columns[:, -1]  # a single arm pairs with itself
+            same += ck.T @ cp
+            shifted += ck[:-1].T @ cp[1:]
+            if not stack.dual_arm:
+                self_pairs += ck.sum(axis=0)
+        else:
+            flat = block.reshape(-1)
+            idx = _nonzero_bytes(flat)  # frame-major, arm k before arm p
+            weight = flat[idx].astype(np.float64)
+            x = idx % width
+            frame, arm = np.divmod(idx // (height * width), arms)
+            k_events = np.flatnonzero(arm == 0)
+            fk = frame[k_events]
+            # first p event of each frame; frame b holds none, so the last frame has no next-frame pairs
+            starts = np.append(np.cumsum(sizes).reshape(b, arms)[:, -1] - n_p, 0)
+            sizes_p = np.append(n_p, 0)
+            same += _pair_sum(x, weight, k_events, fk, starts, sizes_p, width)
+            shifted += _pair_sum(x, weight, k_events, fk + 1, starts, sizes_p, width)
+            if not stack.dual_arm:
+                self_pairs += np.bincount(x, weight, minlength=width)
     values = same / n - shifted / (n - 1)
     if not stack.dual_arm:
         # remove photon-with-itself pairs from the same-frame diagonal

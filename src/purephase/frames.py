@@ -52,6 +52,9 @@ _MAGIC = b"PPF1"
 _HEADER = struct.Struct("<4sHBBIHHdq")  # magic, version, flags, pad, frames, height, width, pitch, seed
 _FLAG_BINARY = 1
 _FLAG_DUAL_ARM = 2
+# largest height or width (uint16) and largest frame count (uint32) a PPF1 header holds
+PPF1_MAX_PX = 0xFFFF
+PPF1_MAX_FRAMES = 0xFFFF_FFFF
 
 
 class OccupancyWarning(UserWarning):
@@ -322,6 +325,11 @@ def synthesize_farfield(
 def write_framestack(stack: FrameStack, path) -> None:
     """Little-endian binary: magic, header, then frames (bit-packed if binary)."""
     det = stack.detector
+    if max(det.height, det.width) > PPF1_MAX_PX or stack.n_frames > PPF1_MAX_FRAMES:
+        raise DomainError(
+            f"PPF1 holds at most {PPF1_MAX_FRAMES} frames of at most {PPF1_MAX_PX} px a side, "
+            f"got {stack.n_frames} frames of {det.height} x {det.width} px"
+        )
     flags = 0
     if det.clip_to_binary:
         flags |= _FLAG_BINARY

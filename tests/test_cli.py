@@ -318,6 +318,25 @@ class TestCliErrors:
         for edge in (-(2**63), 2**63 - 1):
             assert cli.main([*argv, f"--seed={edge}"]) == 0
 
+    @pytest.mark.parametrize("key, value", [
+        ("arm_width_px", 70000),
+        ("arm_height_px", 65536),
+        ("calib_width_px", 65536),
+        ("frames", 2**32),
+        ("calib_frames", 2**32),
+    ])
+    def test_ppf1_header_limits(self, tmp_path, capsys, key, value):
+        # PPF1 stores height and width as uint16 and the frame count as uint32:
+        # refused when the config loads, not in the writer after synthesis
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        cfg.write_text(f"out_dir={out}\nmagnifications=1.0\nframes=20\n{key}={value}\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        limit = 2**16 - 1 if key.endswith("_px") else 2**32 - 1
+        assert err.endswith(f"{key} must be at most {limit}, the PPF1 header's limit, got {value}")
+
     @pytest.mark.parametrize("verb", ["sweep", "simulate", "predict"])
     @pytest.mark.parametrize("pitch", ["-3", "nan", "inf"])
     def test_bad_pixel_pitch(self, tmp_path, capsys, verb, pitch):

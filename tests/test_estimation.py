@@ -162,23 +162,38 @@ class TestEstimateDensity:
 
 
 class TestStreamedSums:
-    # blocks of 7 frames: n = 6, 7 and 8 sit around the first block boundary
+    # blocks of 7 frames: n = 6, 7 and 8 sit around the first block boundary;
+    # with kernel_switch the blocks of frames 7-13 and 21-27 are all ones and
+    # take the dense kernel, the photon-counting blocks around them the sparse one
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
-    @pytest.mark.parametrize("n_frames", [2, 6, 7, 8, 15, 22])
+    @pytest.mark.parametrize("n_frames, kernel_switch", [
+        *(pytest.param(n, False, id=str(n)) for n in (2, 6, 7, 8, 15, 22)),
+        pytest.param(30, True, id="30-kernel-switch"),
+    ])
     @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("clip", [True, False])
     @pytest.mark.parametrize("height", [1, 4])
-    def test_blocks_match_whole_stack(self, paper_dg, monkeypatch, n_frames, split, clip, height):
+    def test_blocks_match_whole_stack(self, paper_dg, monkeypatch, n_frames, kernel_switch, split, clip, height):
         monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
-        dark = 0.0 if clip else 0.02
-        det = DetectorConfig(8.0, 24, height, mean_pair_rate=1.5, dark_count_prob=dark, clip_to_binary=clip, seed=29)
+        dark = 0.0 if clip or kernel_switch else 0.02
+        rate = 0.5 if kernel_switch else 1.5  # keeps every photon-counting block sparse
+        det = DetectorConfig(8.0, 24, height, mean_pair_rate=rate, dark_count_prob=dark, clip_to_binary=clip, seed=29)
         if split:
             stack = synthesize_frames(paper_quad(paper_dg), dataclasses.replace(det, pixel_pitch=100.0), n_frames)
         else:
             stack = synthesize_nearfield(DGParams(60.0, 40.0), det, n_frames)
         assert stack.arm_k.any()
+        sparse_calls = []
+        if kernel_switch:
+            stack.counts[7:14] = 1
+            stack.counts[21:28] = 1
+            pair_sum = estimation._pair_sum
+            monkeypatch.setattr(estimation, "_pair_sum", lambda *a: sparse_calls.append(a) or pair_sum(*a))
         values = estimate_density(stack, normalize=False).values
         assert values.tobytes() == whole_stack_values(stack).tobytes()
+        if kernel_switch:
+            # two sums (same frame, next frame) for each of blocks 0, 2 and 4
+            assert len(sparse_calls) == 6
 
     def test_carried_frame_feeds_shifted_sum(self, monkeypatch):
         # the only counts sit in frames 6 and 7, the last of the first block
@@ -195,10 +210,15 @@ class TestStreamedSums:
         assert np.array_equal(values, expected)
         assert values.tobytes() == whole_stack_values(stack).tobytes()
 
-    def test_memory_independent_of_frame_count(self):
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "photon-counting"])
+    def test_memory_independent_of_frame_count(self, sparse):
         # whole-stack float64 columns alone would take 20000 * 512 * 8 B = 82 MB
         rng = np.random.default_rng(33)
-        counts = rng.integers(0, 2, size=(20000, 1, 1, 512), dtype=np.uint8)
+        if sparse:  # 4 counts a frame: every block takes the pair-list kernel
+            counts = np.zeros((20000, 1, 1, 512), dtype=np.uint8)
+            counts[np.arange(20000)[:, None], 0, 0, rng.integers(0, 512, size=(20000, 4))] = 1
+        else:  # half the pixels lit: every block takes the dense kernel
+            counts = rng.integers(0, 2, size=(20000, 1, 1, 512), dtype=np.uint8)
         stack = FrameStack(counts, DetectorConfig(3.25, 512), {})
         tracemalloc.start()
         try:

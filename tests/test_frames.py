@@ -284,6 +284,16 @@ class TestFileFormat:
             tracemalloc.stop()
         assert peak <= bound * stack.counts.nbytes
 
+    @pytest.mark.parametrize("n_frames, width", [(2, 70000), (2**32, 2)])
+    def test_header_limits(self, tmp_path, n_frames, width):
+        # height and width are uint16 header fields, the frame count uint32;
+        # the frame axis is a broadcast view, so no 2^32-frame array is allocated
+        counts = np.broadcast_to(np.zeros((1, 1, 1, width), dtype=np.uint8), (n_frames, 1, 1, width))
+        stack = FrameStack(counts, DetectorConfig(10.0, width), {})
+        with pytest.raises(DomainError, match=f"got {n_frames} frames of 1 x {width} px"):
+            write_framestack(stack, tmp_path / "stack.ppf")
+        assert not (tmp_path / "stack.ppf").exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ppf"
         path.write_bytes(b"NOPE" + b"\0" * 64)
