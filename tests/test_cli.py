@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import purephase.pipeline as pl
 from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
-from purephase.density import Density2D, read_density_csv, write_density_csv
+from purephase.density import Density2D, read_density, read_density_csv, write_density, write_density_csv
 from purephase.fitting import fit_gaussian_2d
 from purephase.frames import _HEADER
 from purephase.states import DomainError
@@ -104,8 +105,11 @@ class TestCliEndToEnd:
             "predict_tilt.csv",
             "frames_m+0.50.ppf",
             "frames_m+0.50.ppf.meta",
-            "density_m+0.50.csv",
+            "density_m+0.50.npy",
+            "density_m+0.50.meta",
             "density_m+0.50.pgm",
+            "cleaned_m+0.50.npy",
+            "density_m+0.50.csv",  # the CSV copies report exports
             "cleaned_m+0.50.csv",
             "fit_m+0.50.txt",
             "fits.csv",
@@ -119,12 +123,11 @@ class TestCliEndToEnd:
 
     def test_pipeline_is_deterministic(self, workdir):
         out, cfg_path = workdir
-        before = (out / "density_m+1.00.csv").read_bytes()
-        frames_before = (out / "frames_m+1.00.ppf").read_bytes()
+        names = ("frames_m+1.00.ppf", "density_m+1.00.npy", "density_m+1.00.meta")
+        before = [(out / name).read_bytes() for name in names]
         assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
         assert cli.main(["estimate", "--config", str(cfg_path)]) == 0
-        assert (out / "frames_m+1.00.ppf").read_bytes() == frames_before
-        assert (out / "density_m+1.00.csv").read_bytes() == before
+        assert [(out / name).read_bytes() for name in names] == before
 
     def test_seed_changes_artifacts(self, workdir, tmp_path):
         out, cfg_path = workdir
@@ -164,7 +167,7 @@ class TestCliEndToEnd:
         out = tmp_path / "panels"
         assert cli.main(["predict", "--out", str(out), "--mag=-0.3,-0.75,-2.5"]) == 0
         for tag in ("m-0.30", "m-0.75", "m-2.50"):
-            assert (out / f"predict_rho_{tag}.csv").exists()
+            assert (out / f"predict_rho_{tag}.npy").exists()
             assert (out / f"predict_rho_{tag}.pgm").exists()
 
 
@@ -181,12 +184,12 @@ class TestSweepStages:
             raise AssertionError(f"sweep read back {path}")
 
         monkeypatch.setattr(pl, "read_framestack", no_read_back)
-        monkeypatch.setattr(pl, "read_density_csv", no_read_back)
+        monkeypatch.setattr(pl, "read_density", no_read_back)
         sweep = pl.cmd_sweep(RunConfig(out_dir=str(tmp_path / "sweep"), **SMOKE))
         assert len(sweep["rows"]) == len(SMOKE["magnifications"])
         names = sorted(os.listdir(tmp_path / "chain"))
         assert names == sorted(os.listdir(tmp_path / "sweep"))
-        assert len(names) == 7 * len(SMOKE["magnifications"]) + 2  # 7 per magnification, fits.csv, sweep report
+        assert len(names) == 9 * len(SMOKE["magnifications"]) + 2  # 9 per magnification, fits.csv, sweep report
         for name in names:
             assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes(), name
 
@@ -196,10 +199,54 @@ class TestSweepStages:
         pl.cmd_estimate(cfg)
         pl.cmd_fit(cfg)
         report = dict(line.split("=", 1) for line in (tmp_path / "fit_m+1.00.txt").read_text().splitlines())
-        assert report["source"] == "density_m+1.00.csv"
-        fit = fit_gaussian_2d(read_density_csv(tmp_path / "density_m+1.00.csv"))
+        assert report["source"] == "density_m+1.00.npy"
+        fit = fit_gaussian_2d(read_density(tmp_path / "density_m+1.00.npy")[0])
         assert report["theta_fit_deg"] == str(fit.theta_deg)
-        assert not (tmp_path / "cleaned_m+1.00.csv").exists()
+        assert not (tmp_path / "cleaned_m+1.00.npy").exists()
+
+
+SMALL_SWEEP = ["sweep", "--frames", "600", "--mag=0.5,1.0,2.0", "--seed", "11"]
+
+
+@pytest.fixture(scope="module")
+def small_sweep(tmp_path_factory):
+    """A small seeded sweep, the densities _write_density was handed, then a report."""
+    out = tmp_path_factory.mktemp("small_sweep")
+    written = {}
+    write = pl._write_density
+
+    def spy(cfg, dens, name):
+        written[name] = dens.values.copy()
+        return write(cfg, dens, name)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "_write_density", spy)
+        assert cli.main([*SMALL_SWEEP, "--out", str(out)]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    return out, written
+
+
+class TestDensityArtifacts:
+    def test_npy_grids_are_the_sweep_densities_bitwise(self, small_sweep):
+        out, written = small_sweep
+        tags = ("0.50", "1.00", "2.00")
+        assert sorted(written) == [f"{stage}_m+{tag}" for stage in ("cleaned", "density") for tag in tags]
+        for name, values in written.items():
+            loaded = np.load(out / f"{name}.npy", allow_pickle=False)
+            assert loaded.dtype == values.dtype == np.float64
+            assert loaded.shape == values.shape and loaded.tobytes() == values.tobytes(), name
+            assert read_density(out / f"{name}.npy")[0].values.tobytes() == values.tobytes(), name
+
+    @pytest.mark.parametrize("name, digest", [
+        # report's CSV exports: the bytes the sweep itself wrote before densities became .npy artifacts
+        ("density_m+1.00.csv", "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf"),
+        ("cleaned_m+1.00.csv", "620c25801db22aacf7781db22fe0032c27d1e9bdaffd5b9b5a18f36254d7dbbb"),
+        # the sweep's PPF1 sidecar, written through the shared key=value helper
+        ("frames_m+1.00.ppf.meta", "3e82c2137d5937b4b539febaf0dd3e475c2e93cd635733c8704135deed85ed01"),
+    ])
+    def test_pinned_artifact_bytes(self, small_sweep, name, digest):
+        out, _ = small_sweep
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestCliErrors:
@@ -252,28 +299,64 @@ class TestCliErrors:
         lambda text: text[: text.rindex(",") + 1] + "nan\n",  # non-finite cells
         lambda text: text[: text.rindex(",") + 1] + "-inf\n",
     ], ids=["empty-cell", "short-row", "non-numeric", "nan-cell", "inf-cell"])
-    def test_malformed_density_row(self, tmp_path, capsys, cut):
-        cfg = self.one_mag_config(tmp_path)
+    def test_malformed_density_row(self, tmp_path, cut):
+        # no verb reads a CSV now; the parser of report's CSV export refuses in one line
         path = tmp_path / "density_m+1.00.csv"
         write_density_csv(Density2D(np.arange(48.0).reshape(6, 8) / 7.0, -3.0, 1.5, -4.0, 1.25), path)
         path.write_text(cut(path.read_text()))
-        assert cli.main(["clean", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1
-        assert f"{path}, line " in err
+        with pytest.raises(DomainError) as refused:
+            read_density_csv(path)
+        assert len(str(refused.value).splitlines()) == 1
+        assert f"{path}, line " in str(refused.value)
 
     def test_density_cut_at_a_row_boundary(self, tmp_path, capsys):
         cfg = self.one_mag_config(tmp_path)
-        for verb in ("simulate", "estimate"):
+        for verb in ("simulate", "estimate", "report"):
             assert cli.main([verb, "--config", str(cfg), "--frames", "300"]) == 0
         path = tmp_path / "density_m+1.00.csv"
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-100]))
-        capsys.readouterr()
-        assert cli.main(["clean", "--config", str(cfg)]) == 2
+        with pytest.raises(DomainError) as refused:
+            read_density_csv(path)
+        assert str(refused.value).endswith(f"{path} holds 156x256 values, its metadata says 256x256")
+
+    @staticmethod
+    def header_beyond_file(path):
+        # a header claiming 1.28e14 bytes of float64 over a 100-byte payload
+        with open(path, "wb") as fh:
+            header = {"descr": "<f8", "fortran_order": False, "shape": (4_000_000, 4_000_000)}
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.write(bytes(100))
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda npy, meta: npy.write_bytes(npy.read_bytes()[:300]),
+         "density_m+1.00.npy is not a complete .npy grid: mmap length is greater than file size"),
+        (lambda npy, meta: np.save(npy, np.array([{"cell": 1.0}]), allow_pickle=True),
+         "density_m+1.00.npy is not a complete .npy grid: Array can't be memory-mapped: Python objects in dtype."),
+        (lambda npy, meta: TestCliErrors.header_beyond_file(npy),
+         "density_m+1.00.npy is not a complete .npy grid: mmap length is greater than file size"),
+        (lambda npy, meta: np.save(npy, np.ones((6, 8), dtype=np.int64)),
+         "density_m+1.00.npy holds int64 values, a density grid holds float64"),
+        (lambda npy, meta: meta.unlink(),
+         "density_m+1.00.npy has no metadata file"),
+        (lambda npy, meta: meta.write_text(meta.read_text().replace("shape=6x8", "shape=8x6")),
+         "density_m+1.00.npy holds 6x8 values, its metadata says 8x6"),
+        (lambda npy, meta: meta.write_text(meta.read_text().replace("k_pitch=1.5", "k_pitch=abc")),
+         "density_m+1.00.npy: could not convert string to float: 'abc'"),
+        (lambda npy, meta: np.save(npy, np.where(np.arange(48.0).reshape(6, 8) == 19.0, np.nan, 1.0)),
+         "density_m+1.00.npy holds a non-finite value at row 2, column 3"),
+    ], ids=["cut-npy", "pickled", "header-beyond-file", "int-grid", "missing-meta", "shape-mismatch", "bad-axis-value",
+            "nan-cell"])
+    @pytest.mark.parametrize("verb", ["clean", "fit"])
+    def test_malformed_density_grid(self, tmp_path, capsys, verb, corrupt, message):
+        cfg = self.one_mag_config(tmp_path)
+        npy = tmp_path / "density_m+1.00.npy"
+        write_density(Density2D(np.arange(48.0).reshape(6, 8) / 7.0, -3.0, 1.5, -4.0, 1.25), npy, {"config_hash": "0"})
+        corrupt(npy, tmp_path / "density_m+1.00.meta")
+        assert cli.main([verb, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
-        assert err.endswith(f"{path} holds 156x256 values, its metadata says 256x256")
+        assert message in err
 
     def test_short_ppf1_file(self, tmp_path, capsys):
         cfg = self.one_mag_config(tmp_path)

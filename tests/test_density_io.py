@@ -3,7 +3,9 @@ import pytest
 
 from purephase.density import (
     Density2D,
+    read_density,
     read_density_csv,
+    write_density,
     write_density_csv,
     write_density_pgm,
 )
@@ -83,6 +85,21 @@ class TestCsvRoundTrip:
         path.write_text("# purephase-density v1\n")
         with pytest.raises(DomainError):
             read_density_csv(path)
+
+
+class TestNpyRoundTrip:
+    @pytest.mark.parametrize("make", [sample_density, sweep_pitch_density], ids=["sample", "sweep_pitch"])
+    def test_exact_round_trip(self, make, rng, tmp_path):
+        dens = make(rng).self_normalized()
+        path = tmp_path / "density.npy"
+        write_density(dens, path, {"config_hash": "abc123"})
+        loaded, extras = read_density(path)
+        assert loaded.values.tobytes() == dens.values.tobytes()
+        axes = ("k_origin", "k_pitch", "p_origin", "p_pitch", "normalized", "k_name", "p_name")
+        assert [getattr(loaded, key) for key in axes] == [getattr(dens, key) for key in axes]
+        assert extras == {"config_hash": "abc123"}
+        rows, cols = dens.values.shape
+        assert (tmp_path / "density.meta").read_text().endswith(f"shape={rows}x{cols}\nconfig_hash=abc123\n")
 
 
 class TestPgm:
