@@ -82,8 +82,10 @@ class DetectorConfig:
             raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if self.width < 2 or self.height < 1:
             raise DomainError("detector needs width >= 2 and height >= 1")
-        if self.mean_pair_rate < 0.0 or self.dark_count_prob < 0.0:
-            raise DomainError("rates must be non-negative")
+        if not (0.0 <= self.mean_pair_rate < math.inf):
+            raise DomainError(f"mean_pair_rate must be non-negative and finite, got {self.mean_pair_rate!r}")
+        if not (0.0 <= self.dark_count_prob <= 1.0):
+            raise DomainError(f"dark_count_prob must be a probability in [0, 1], got {self.dark_count_prob!r}")
 
     @property
     def two_d(self) -> bool:

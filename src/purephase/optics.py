@@ -1,12 +1,16 @@
 """Operator algebra on Gaussian biphoton states.
 
-Quadratic phase fronts, coordinate scaling, free-space Fresnel propagation,
-single-lens imaging, and Fourier-lens transforms are all closed-form updates
-of the state's quadratic form.  The sign conventions used throughout:
+Every optical element is a first-order system: it applies ray matrices
+(A, B, C, D) with AD - BC = 1 in order, and one closed-form update of the
+state's quadratic form (Collins' integral, J. Opt. Soc. Am. 60, 1168 (1970))
+applies a matrix to one photon's axis.  The matrices and sign conventions:
 
-* quadratic phase element with curvature c multiplies by exp(+1j*pi*c*x^2/lam),
-* the Fresnel kernel is exp(+1j*k*(x-x')^2/(2*z)),
-* Fourier transforms (one-photon and Fourier-lens) use the exp(-1j*q*x) kernel.
+* QuadraticPhase(c) = (1, 0, c, 1) multiplies by exp(+1j*pi*c*x^2/lam),
+* Scale(s) = (1/s, 0, 0, s) maps x -> s*x with sqrt(|s|) amplitude weight,
+* Fresnel(z) = (1, z, 0, 1) has the kernel exp(+1j*k*(x-x')^2/(2*z)),
+* LensImaging(u, f) is QuadraticPhase(1/(u-f)) then Scale(1-u/f),
+* FourierLens(f) = (0, f, -1/f, 0) and the one-photon transform (the Fourier
+  lens of focal length 2*pi/lam) use the exp(-1j*q*x) kernel.
 
 This is the one internally consistent assignment: the state propagated to the
 phase plane carries curvature +1/(2*z_p) per photon, which the virtual-imaging
@@ -55,21 +59,19 @@ PHOTON_1 = "photon1"
 PHOTON_2 = "photon2"
 BOTH = "both"
 
-_TARGETS = (PHOTON_1, PHOTON_2, BOTH)
+_TARGET_AXES = {PHOTON_1: (0,), PHOTON_2: (1,), BOTH: (0, 1)}
 
 
 def _target_axes(target: str) -> tuple[int, ...]:
-    if target == PHOTON_1:
-        return (0,)
-    if target == PHOTON_2:
-        return (1,)
-    if target == BOTH:
-        return (0, 1)
-    raise DomainError(f"target must be one of {_TARGETS}, got {target!r}")
+    if target not in _TARGET_AXES:
+        raise DomainError(f"target must be one of {tuple(_TARGET_AXES)}, got {target!r}")
+    return _TARGET_AXES[target]
 
 
 # ---------------------------------------------------------------------------
-# optical elements
+# optical elements: each applies its ray matrices (A, B, C, D) in order
+
+Ray = tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,10 @@ class QuadraticPhase:
         if not math.isfinite(self.curvature):
             raise DomainError(f"curvature must be finite, got {self.curvature!r}")
 
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        return ((1.0, 0.0, self.curvature, 1.0),)
+
 
 @dataclass(frozen=True)
 class Scale:
@@ -97,6 +103,10 @@ class Scale:
         if self.factor == 0.0 or not math.isfinite(self.factor):
             raise DomainError(f"scale factor must be nonzero and finite, got {self.factor!r}")
 
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        return ((1.0 / self.factor, 0.0, 0.0, self.factor),)
+
 
 @dataclass(frozen=True)
 class Fresnel:
@@ -109,6 +119,10 @@ class Fresnel:
         _target_axes(self.target)
         if not math.isfinite(self.distance):
             raise DomainError(f"distance must be finite, got {self.distance!r}")
+
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        return ((1.0, self.distance, 0.0, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,11 @@ class LensImaging:
         if self.object_distance == self.focal_length:
             raise DomainError("object_distance equal to focal_length has no image")
 
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        u, f = self.object_distance, self.focal_length
+        return QuadraticPhase(1.0 / (u - f)).rays + Scale(1.0 - u / f).rays
+
 
 @dataclass(frozen=True)
 class FourierLens:
@@ -139,90 +158,50 @@ class FourierLens:
         if not (self.focal_length > 0.0):
             raise DomainError(f"focal_length must be positive, got {self.focal_length!r}")
 
+    @property
+    def rays(self) -> tuple[Ray, ...]:
+        return ((0.0, self.focal_length, -1.0 / self.focal_length, 0.0),)
+
 
 OpticalElement = QuadraticPhase | Scale | Fresnel | LensImaging | FourierLens
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form updates (single axis)
+# the one quadratic-form update: Collins' integral of a ray matrix on one axis
 
 
-def _axis_coeffs(state: GaussianBiphotonState, axis: int) -> tuple[complex, complex, complex]:
-    if axis == 0:
-        return state.m11, state.m22, state.m12
-    return state.m22, state.m11, state.m12
+def _ray_axis(state: GaussianBiphotonState, ray: Ray, axis: int) -> GaussianBiphotonState:
+    """Apply the ray matrix (A, B, C, D) to axis 0 or 1; the identity returns ``state``.
 
-
-def _with_axis_coeffs(state, axis, m_tt, m_oo, m_to, log_norm) -> GaussianBiphotonState:
-    if axis == 0:
-        m11, m22 = m_tt, m_oo
-    else:
-        m11, m22 = m_oo, m_tt
-    return GaussianBiphotonState(m11, m22, m_to, log_norm, state.wavelength)
-
-
-def _quadratic_phase_axis(state, c, axis):
-    m_tt, m_oo, m_to = _axis_coeffs(state, axis)
-    m_tt = m_tt - 1j * math.pi * c / state.wavelength
-    return _with_axis_coeffs(state, axis, m_tt, m_oo, m_to, state.log_norm)
-
-
-def _scale_axis(state, s, axis):
-    m_tt, m_oo, m_to = _axis_coeffs(state, axis)
-    return _with_axis_coeffs(
-        state,
-        axis,
-        m_tt * s * s,
-        m_oo,
-        m_to * s,
-        state.log_norm + 0.5 * math.log(abs(s)),
-    )
-
-
-def _fresnel_axis(state, z, axis):
-    if z == 0.0:
+    B = 0 gives sqrt|D| exp(+1j*pi*C*D*x^2/lam) psi(D*x); otherwise Collins'
+    kernel exp(+1j*pi*(A*x'^2 - 2*x*x' + D*x^2)/(lam*B)) is integrated over x'.
+    """
+    if ray == (1.0, 0.0, 0.0, 1.0):
         return state
-    alpha = 1j * math.pi / (state.wavelength * z)
-    m_tt, m_oo, m_to = _axis_coeffs(state, axis)
-    denom = alpha - m_tt
-    new_tt = alpha * m_tt / denom
-    new_to = alpha * m_to / denom
-    new_oo = m_oo + m_to * m_to / denom
-    log_norm = state.log_norm + 0.5 * (math.log(abs(alpha)) - math.log(abs(denom)))
-    return _with_axis_coeffs(state, axis, new_tt, new_oo, new_to, log_norm)
-
-
-def _fourier_axis(state, gamma, axis):
-    """Replace the targeted coordinate by its exp(-1j*gamma*y*x) conjugate y."""
-    m_tt, m_oo, m_to = _axis_coeffs(state, axis)
-    new_tt = gamma * gamma / (4.0 * m_tt)
-    new_to = -1j * gamma * m_to / (2.0 * m_tt)
-    new_oo = m_oo - m_to * m_to / m_tt
-    log_norm = state.log_norm + 0.5 * math.log(gamma / (2.0 * abs(m_tt)))
-    return _with_axis_coeffs(state, axis, new_tt, new_oo, new_to, log_norm)
+    a, b, c, d = ray
+    lam = state.wavelength
+    m_tt, m_oo, m_to = (state.m11, state.m22, state.m12) if axis == 0 else (state.m22, state.m11, state.m12)
+    if b == 0.0:
+        m_tt, m_to = m_tt * d * d - 1j * math.pi * c * d / lam, m_to * d
+        log_norm = state.log_norm + 0.5 * math.log(abs(d))
+    else:
+        q = 1j * math.pi / (lam * b)
+        den = m_tt - a * q
+        # AD - BC = 1 folds q*q*(1 - A*D) into the C term, which stays finite as B -> 0
+        m_tt = q * (1j * math.pi * c / lam - d * m_tt) / den
+        m_oo = m_oo - m_to * m_to / den
+        m_to = -q * m_to / den
+        log_norm = state.log_norm + 0.5 * (math.log(abs(q)) - math.log(abs(den)))
+    m11, m22 = (m_tt, m_oo) if axis == 0 else (m_oo, m_tt)
+    return GaussianBiphotonState(m11, m22, m_to, log_norm, lam)
 
 
 def apply_element(state: GaussianBiphotonState, element: OpticalElement) -> GaussianBiphotonState:
     """Apply one optical element; raises DomainError if the output is not normalizable."""
-    axes = _target_axes(element.target)
-    out = state
-    for axis in axes:
-        if isinstance(element, QuadraticPhase):
-            out = _quadratic_phase_axis(out, element.curvature, axis)
-        elif isinstance(element, Scale):
-            out = _scale_axis(out, element.factor, axis)
-        elif isinstance(element, Fresnel):
-            out = _fresnel_axis(out, element.distance, axis)
-        elif isinstance(element, LensImaging):
-            u, f = element.object_distance, element.focal_length
-            out = _quadratic_phase_axis(out, 1.0 / (u - f), axis)
-            out = _scale_axis(out, 1.0 - u / f, axis)
-        elif isinstance(element, FourierLens):
-            gamma = 2.0 * math.pi / (out.wavelength * element.focal_length)
-            out = _fourier_axis(out, gamma, axis)
-        else:
-            raise DomainError(f"unknown optical element {element!r}")
-    return out
+    for axis in _target_axes(element.target):
+        for ray in element.rays:
+            state = _ray_axis(state, ray, axis)
+    return state
 
 
 def apply_chain(state, elements) -> GaussianBiphotonState:
@@ -234,15 +213,11 @@ def apply_chain(state, elements) -> GaussianBiphotonState:
 def partial_fourier(state: GaussianBiphotonState, target: str = PHOTON_1) -> GaussianBiphotonState:
     """One-photon Fourier transform with the exp(-1j*q*x) kernel.
 
-    The returned object has the targeted axis in spatial frequency (rad/um);
-    applying it to both axes in sequence yields the full momentum
-    representation.
+    This is the Fourier lens of focal length 2*pi/lam.  The returned object
+    has the targeted axis in spatial frequency (rad/um); applying it to both
+    axes in sequence yields the full momentum representation.
     """
-    axes = _target_axes(target)
-    out = state
-    for axis in axes:
-        out = _fourier_axis(out, 1.0, axis)
-    return out
+    return apply_element(state, FourierLens(2.0 * math.pi / state.wavelength, target))
 
 
 # ---------------------------------------------------------------------------

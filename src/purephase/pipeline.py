@@ -33,6 +33,7 @@ from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_an
 from .sidecar import write_key_values
 from .states import (
     DGParams,
+    DomainError,
     birth_zone_number,
     phase_plane_distance,
     pure_phase_params,
@@ -313,6 +314,8 @@ def cmd_sweep(cfg: RunConfig) -> dict:
     Writes what simulate -> estimate -> clean -> fit write and reads none of
     it back.  Returns the sweep report's items and the fits.csv rows.
     """
+    if len(cfg.magnifications) < 3:
+        raise DomainError(f"sweep fits mag_eff to at least 3 magnifications, got {len(cfg.magnifications)}")
     rows = []
     for i, mag in enumerate(cfg.magnifications):
         # nested, so each stack is freed once its density is estimated

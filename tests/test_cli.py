@@ -390,6 +390,19 @@ class TestCliErrors:
         err = self.refused_before_output(tmp_path, capsys, ["sweep"], f"magnifications=1.0,{mag}")
         assert err.endswith(f"magnifications must be nonzero and finite, got (1.0, {float(mag)!r})")
 
+    def test_sweep_needs_three_magnifications(self, tmp_path, capsys):
+        # refused before any stage runs, not by the magnification fit after every stage wrote
+        err = self.refused_before_output(tmp_path, capsys, ["sweep"], "magnifications=1.0,2.0")
+        assert err.endswith("sweep fits mag_eff to at least 3 magnifications, got 2")
+
+    @pytest.mark.parametrize("verb, line, message", [
+        ("simulate", "mean_pair_rate=nan", "mean_pair_rate must be non-negative and finite, got nan"),
+        ("simulate", "dark_count_prob=nan", "dark_count_prob must be a probability in [0, 1], got nan"),
+        ("calibrate", "calib_rate=nan", "mean_pair_rate must be non-negative and finite, got nan"),
+    ])
+    def test_non_finite_rates(self, tmp_path, capsys, verb, line, message):
+        assert self.refused_before_output(tmp_path, capsys, [verb], line).endswith(message)
+
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
     def test_seed_outside_int64(self, tmp_path, capsys, seed):
         argv = ["simulate", "--out", str(tmp_path), "--frames", "300", "--mag=1.0"]

@@ -52,6 +52,17 @@ class TestDetectorConfig:
             DetectorConfig(pixel_pitch=10.0, width=1)
         with pytest.raises(DomainError):
             DetectorConfig(pixel_pitch=10.0, width=64, mean_pair_rate=-1.0)
+        # NaN fails every comparison, so each bound must be stated as a pass
+        bad_rates = [
+            dict(mean_pair_rate=math.nan),
+            dict(mean_pair_rate=math.inf),
+            dict(dark_count_prob=math.nan),
+            dict(dark_count_prob=-1e-4),
+            dict(dark_count_prob=1.5),
+        ]
+        for kwargs in bad_rates:
+            with pytest.raises(DomainError, match="mean_pair_rate|dark_count_prob"):
+                DetectorConfig(pixel_pitch=10.0, width=64, **kwargs)
 
     @pytest.mark.parametrize("pitch", [-3.0, math.nan, math.inf])
     def test_pitch_must_be_positive_and_finite(self, pitch):

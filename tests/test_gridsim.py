@@ -1,10 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from purephase.gridsim import GridSpec, auto_grid_spec, discretize, fft_fresnel, grid_pft
-from purephase.optics import BOTH, PHOTON_1, PHOTON_2, Fresnel, apply_element, partial_fourier
+from purephase.optics import (
+    BOTH,
+    PHOTON_1,
+    PHOTON_2,
+    Fresnel,
+    QuadraticPhase,
+    Scale,
+    apply_chain,
+    apply_element,
+    partial_fourier,
+)
 from purephase.states import (
     DGParams,
     DomainError,
@@ -259,3 +270,92 @@ class TestQuadratureAnisotropic:
         after = out.marginal_std(1)
         assert after != pytest.approx(before, rel=1e-3)
         assert after == pytest.approx(reference_std(out.x1_axis, reference_density(out).sum(axis=1)), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# seeded element chains: every closed-form update against the grid
+
+_AXES = {PHOTON_1: (0,), PHOTON_2: (1,), BOTH: (0, 1)}
+
+
+def _along_axis(vector, axis):
+    return vector.reshape((-1, 1) if axis == 0 else (1, -1))
+
+
+def grid_quadratic_phase(g, curvature, axis):
+    """Multiply the axis by exp(+1j*pi*curvature*x^2/lam)."""
+    x = g.x1_axis if axis == 0 else g.x2_axis
+    phase = np.exp(1j * math.pi * curvature * x * x / g.wavelength)
+    return dataclasses.replace(g, amplitudes=g.amplitudes * _along_axis(phase, axis))
+
+
+def grid_scale(g, factor, axis):
+    """x -> factor*x with sqrt(|factor|) weight: the samples stay, the axis is relabelled.
+
+    Sample j at x_j carries the new amplitude at x_j/factor, so the pitch becomes
+    dx/|factor| and a negative factor reverses the axis.
+    """
+    n = g.amplitudes.shape[axis]
+    dx, origin = (g.dx1, g.x1_0) if axis == 0 else (g.dx2, g.x2_0)
+    amp = g.amplitudes * math.sqrt(abs(factor))
+    if factor < 0.0:
+        amp = np.flip(amp, axis=axis)
+        origin += (n - 1) * dx
+    fields = ("dx1", "x1_0") if axis == 0 else ("dx2", "x2_0")
+    return dataclasses.replace(g, amplitudes=amp, **dict(zip(fields, (dx / abs(factor), origin / factor))))
+
+
+def apply_on_grid(g, element):
+    if isinstance(element, Fresnel):
+        return fft_fresnel(g, element.distance, element.target)
+    for axis in _AXES[element.target]:
+        if isinstance(element, QuadraticPhase):
+            g = grid_quadratic_phase(g, element.curvature, axis)
+        else:
+            g = grid_scale(g, element.factor, axis)
+    return g
+
+
+def draw_chain(rng, z_p):
+    """3-4 seeded elements on random targets.
+
+    Distances up to z_p/2 and curvatures up to 1/z_p keep every chain inside a
+    16-sigma grid of its source state.
+    """
+    chain = []
+    for _ in range(rng.integers(3, 5)):
+        target = (PHOTON_1, PHOTON_2, BOTH)[rng.integers(3)]
+        kind = rng.integers(3)
+        if kind == 0:
+            chain.append(Fresnel(z_p * rng.uniform(-0.5, 0.5), target))
+        elif kind == 1:
+            chain.append(QuadraticPhase(rng.uniform(-1.0, 1.0) / z_p, target))
+        else:
+            chain.append(Scale(rng.choice([-1.0, 1.0]) * rng.uniform(0.7, 1.4), target))
+    return chain, (None, PHOTON_1, PHOTON_2)[rng.integers(3)]
+
+
+class TestChainOracle:
+    """Seeded apply_chain sequences, optionally ending in a partial Fourier
+    transform, reproduced on the grid by fft_fresnel, grid_pft and exact
+    grid versions of the quadratic phase and the scale."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_widths_match_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        params = DGParams(rng.uniform(30.0, 70.0), rng.uniform(8.0, 20.0))
+        state = dg_state(params, WAVELENGTH)
+        chain, fourier = draw_chain(rng, phase_plane_distance(params, WAVELENGTH))
+        g = discretize(state, auto_grid_spec(state, extent_sigmas=16.0, max_n=512))
+        closed = apply_chain(state, chain)
+        for element in chain:
+            g = apply_on_grid(g, element)
+        if fourier is not None:
+            closed = partial_fourier(closed, fourier)
+            g = grid_pft(g, fourier)
+        assert g.norm() == pytest.approx(1.0, abs=1e-9)
+        for photon in (1, 2):
+            assert g.marginal_std(photon) == pytest.approx(closed.marginal_position_std(photon), rel=1e-4)
+            assert g.conditional_std(photon) == pytest.approx(closed.conditional_position_std(photon), rel=1e-3)
+        # widths cannot see a mirrored axis; the sign of the correlation can
+        assert l2_mismatch(g.density(), closed_form_density(closed, g)) < 1e-4

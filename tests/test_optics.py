@@ -158,6 +158,30 @@ class TestLensImaging:
         assert lens.log_norm == manual.log_norm
 
 
+def assert_same_state(out, expected, rel):
+    for name in ("m11", "m22", "m12"):
+        assert abs(getattr(out, name) - getattr(expected, name)) <= rel * abs(getattr(expected, name)), name
+    assert out.norm() == pytest.approx(expected.norm(), rel=rel)
+
+
+class TestRayConventions:
+    """Element identities that fix the signs of the ray matrices."""
+
+    @pytest.mark.parametrize("target", [PHOTON_1, PHOTON_2, BOTH])
+    @pytest.mark.parametrize("f", [2e4, 1.5e5])
+    def test_fresnel_lens_fresnel_is_fourier_lens(self, paper_dg, f, target):
+        state = dg_state(paper_dg, WAVELENGTH)
+        chain = apply_chain(state, [Fresnel(f, target), QuadraticPhase(-1.0 / f, target), Fresnel(f, target)])
+        assert_same_state(chain, apply_element(state, FourierLens(f, target)), rel=1e-12)
+
+    @pytest.mark.parametrize("target", [PHOTON_1, PHOTON_2, BOTH])
+    @pytest.mark.parametrize("z1, z2", [(7000.0, 3000.0), (-2500.0, 9000.0)])
+    def test_fresnel_distances_add(self, paper_dg, z1, z2, target):
+        state = dg_state(paper_dg, WAVELENGTH)
+        chain = apply_chain(state, [Fresnel(z1, target), Fresnel(z2, target)])
+        assert_same_state(chain, apply_element(state, Fresnel(z1 + z2, target)), rel=1e-12)
+
+
 class TestPrepDesign:
     def test_paper_geometry(self, paper_dg):
         design = paper_design(paper_dg)
