@@ -4,11 +4,13 @@ Finite sampling leaves the correlation estimate with a low-frequency artefact
 shaped like the product of the photon marginals, riding on shot noise.  Plain
 subtraction of that marginal image (the excess-correlation map) removes its
 mean but not its structure, so the cleaning pipeline works spectrally instead:
-wavelet-decompose both the density and its marginal image, measure the
-marginal's spatial-frequency bandwidth on the approximation band, high-pass
-the density's approximation above that bandwidth, reconstruct, then low-pass
-and smooth.  Defaults were tuned once on synthetic stacks and are frozen in
-:class:`CleaningConfig`.
+wavelet-decompose the density, measure the marginal image's spatial-frequency
+bandwidth on its approximation band, high-pass the density's approximation
+above that bandwidth, reconstruct, then low-pass and smooth.  The marginal
+image is the outer product of the two marginals, so its approximation band is
+the outer product of their 1D bands and is never built in 2D; each wavelet
+level is one orthogonal matrix (see :mod:`purephase.wavelets`).  Defaults
+were tuned once on synthetic stacks and are frozen in :class:`CleaningConfig`.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .density import Density2D
 from .states import DomainError
-from .wavelets import check_divisible, daubechies_filters, wavedec2, waverec2
+from .wavelets import approximation_1d, check_divisible, daubechies_filters, wavedec2, waverec2
 
 __all__ = ["CleaningConfig", "marginal_image", "excess_g2", "clean_density", "psd_cutoff"]
 
@@ -126,18 +128,17 @@ def _tapered_lowpass(image: np.ndarray, cutoff: float, bandwidth_px: float) -> n
 def clean_density(density: Density2D, config: CleaningConfig = CleaningConfig()) -> Density2D:
     """Appendix-style spectral cleaning; output is non-negative and renormalised.
 
-    Steps: wavelet-decompose the density and its marginal image; take the
-    structured bandwidth of the marginal's approximation band; remove that
+    Steps: wavelet-decompose the density; take the structured bandwidth of the
+    marginal image's approximation band, the outer product of the marginals'
+    1D bands (the cutoff does not depend on the image's scale); remove that
     band from the density's approximation; reconstruct with the original
     detail bands; apply the smoothing low-pass; clamp and normalise like the
     input.
     """
     config.check_image(density.values.shape)
-    rho_m = density.values.astype(float)
-    rho_marg = marginal_image(density).values
-    coeffs_m = wavedec2(rho_m, config.wavelet_order, config.decomp_level)
-    coeffs_marg = wavedec2(rho_marg, config.wavelet_order, config.decomp_level)
-    cutoff = psd_cutoff(coeffs_marg[0], config.psd_threshold)
+    bands = (approximation_1d(m, config.wavelet_order, config.decomp_level) for m in density.marginals())
+    cutoff = psd_cutoff(np.outer(*bands), config.psd_threshold)
+    coeffs_m = wavedec2(density.values, config.wavelet_order, config.decomp_level)
     coeffs_m[0] = _highpass_above(coeffs_m[0], cutoff)
     rebuilt = waverec2(coeffs_m, config.wavelet_order)
     rebuilt = _tapered_lowpass(rebuilt, config.lowpass_cutoff, config.kde_bandwidth)

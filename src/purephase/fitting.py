@@ -315,7 +315,7 @@ def fit_gaussian_2d(density: Density2D, mask=None) -> GaussianFit2D:
         if mask is not None:
             e *= mask
             r *= mask
-        return e, math.sqrt(float(np.vdot(r, r)))
+        return e, math.sqrt(float(np.sum(r * r)))
 
     x, _, rnorm = _least_squares(
         x0, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r, used.size),

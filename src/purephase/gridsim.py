@@ -247,32 +247,29 @@ def _along(vector: np.ndarray, axis: int) -> np.ndarray:
 def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
     """Fresnel-propagate along the targeted axis (or both) by distance z (um).
 
-    The propagated field must stay inside the grid: the marginal width after
-    propagation is bounded by sigma_x + |z|*sigma_q/k, and that bound has to
-    fit within a quarter of the grid extent per side.  Both axes are checked
-    on the input's marginals: propagating one axis is unitary and leaves the
-    other axis's position and spectral marginals unchanged.
+    The propagated field must stay inside the grid: its measured marginal
+    width on each targeted axis has to fit within a quarter of the grid extent
+    per side.  A field that wrapped round the periodic grid measures wide (its
+    width saturates near 0.29 of the extent), so an overflow is refused too.
     """
     axes = _target_axes(target)
     if z == 0.0:
         return g
     k = 2.0 * math.pi / g.wavelength
+    dx = (g.dx1, g.dx2)
     spec = np.fft.fftn(g.amplitudes, axes=axes)
-    # marginals of the one power spectrum; summing over the other axis adds
-    # the same constant factor whether or not that axis was transformed
-    spectral = _power_marginals(spec)
     for axis in axes:
-        n = spec.shape[axis]
-        dx = g.dx1 if axis == 0 else g.dx2
-        q = _axis_freq(n, dx)
-        predicted = g.marginal_std(axis + 1) + abs(z) * _weighted_std(q, spectral[axis]) / k
-        if n * dx < 8.0 * predicted:
+        q = _axis_freq(spec.shape[axis], dx[axis])
+        spec *= _along(np.exp(-1j * q * q * z / (2.0 * k)), axis)
+    out = replace(g, amplitudes=np.fft.ifftn(spec, axes=axes, out=spec))
+    for axis in axes:
+        extent, width = spec.shape[axis] * dx[axis], out.marginal_std(axis + 1)
+        if extent < 8.0 * width:
             raise DomainError(
                 f"propagation by {z:.3g} um grows axis {axis + 1} to sigma ~ "
-                f"{predicted:.3g} um; grid extent {n * dx:.3g} um < 8 sigma"
+                f"{width:.3g} um; grid extent {extent:.3g} um < 8 sigma"
             )
-        spec *= _along(np.exp(-1j * q * q * z / (2.0 * k)), axis)
-    return replace(g, amplitudes=np.fft.ifftn(spec, axes=axes, out=spec))
+    return out
 
 
 def grid_pft(g: GridState, target: str = "photon1") -> GridState:

@@ -1,12 +1,13 @@
 """Minimal orthonormal Daubechies wavelet transforms.
 
 PyWavelets is not a dependency; the few pieces the cleaning pipeline needs
-(filter coefficients, periodized separable 2D analysis/synthesis) are small
-enough to carry here.  Filters are built by spectral factorization of the
-Daubechies half-band polynomial, keeping the minimum-phase roots; order p
-gives the classic 2p-tap filter with p vanishing moments.  The transform uses
-periodic boundary handling, so every level requires even array lengths and
-reconstruction is exact to rounding.
+are small enough to carry here.  Filters are built by spectral factorization
+of the Daubechies half-band polynomial, keeping the minimum-phase roots; order
+p gives the classic 2p-tap filter with p vanishing moments.  Boundaries are
+periodic, so one level on an axis of n (even) samples is one cached orthogonal
+(n, n) matrix, lowpass rows over highpass rows.  A 2D level is
+``m0 @ x @ m1.T`` and its inverse the transposed product, exact to rounding;
+a 1D approximation band applies the lowpass half alone.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .states import DomainError
 
-__all__ = ["daubechies_filters", "check_divisible", "dwt2", "idwt2", "wavedec2", "waverec2"]
+__all__ = ["daubechies_filters", "check_divisible", "wavedec2", "waverec2", "approximation_1d"]
 
 
 @lru_cache(maxsize=None)
@@ -46,48 +47,18 @@ def daubechies_filters(order: int) -> tuple[np.ndarray, np.ndarray]:
     return h, g
 
 
-def _analysis_axis(arr: np.ndarray, filt: np.ndarray, axis: int) -> np.ndarray:
-    """Periodized filter-and-downsample along one axis."""
-    arr = np.moveaxis(arr, axis, 0)
-    n = arr.shape[0]
-    if n % 2 != 0:
-        raise DomainError(f"axis length {n} must be even for the periodized transform")
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(filt.size)[None, :]) % n
-    out = np.tensordot(arr[idx], filt, axes=([1], [0]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _synthesis_axis(low: np.ndarray, high: np.ndarray, h: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    low = np.moveaxis(low, axis, 0)
-    high = np.moveaxis(high, axis, 0)
-    half = low.shape[0]
-    n = 2 * half
-    out = np.zeros((n,) + low.shape[1:], dtype=np.result_type(low, high))
-    base = 2 * np.arange(half)
-    for tap in range(h.size):
-        pos = (base + tap) % n
-        out[pos] += low * h[tap] + high * g[tap]
-    return np.moveaxis(out, 0, axis)
-
-
-def dwt2(img: np.ndarray, order: int):
-    """One separable analysis level: (approx, (horiz, vert, diag)) detail bands."""
+@lru_cache(maxsize=None)
+def _level(n: int, order: int) -> np.ndarray:
+    """Read-only (n, n) analysis level: row j of each half is its filter
+    shifted by 2j, and taps that wrap past the end (n < 2 order) add up."""
     h, g = daubechies_filters(order)
-    lo = _analysis_axis(img, h, 0)
-    hi = _analysis_axis(img, g, 0)
-    ll = _analysis_axis(lo, h, 1)
-    lh = _analysis_axis(lo, g, 1)
-    hl = _analysis_axis(hi, h, 1)
-    hh = _analysis_axis(hi, g, 1)
-    return ll, (lh, hl, hh)
-
-
-def idwt2(approx: np.ndarray, details, order: int) -> np.ndarray:
-    h, g = daubechies_filters(order)
-    lh, hl, hh = details
-    lo = _synthesis_axis(approx, lh, h, g, 1)
-    hi = _synthesis_axis(hl, hh, h, g, 1)
-    return _synthesis_axis(lo, hi, h, g, 0)
+    rows = np.arange(n // 2)[:, None]
+    cols = (2 * rows + np.arange(h.size)) % n
+    m = np.zeros((n, n))
+    np.add.at(m, (rows, cols), h)
+    np.add.at(m, (rows + n // 2, cols), g)
+    m.flags.writeable = False
+    return m
 
 
 def check_divisible(shape, level: int) -> None:
@@ -101,20 +72,32 @@ def check_divisible(shape, level: int) -> None:
 
 
 def wavedec2(img: np.ndarray, order: int, level: int):
-    """[approx_L, details_L, ..., details_1] multi-level decomposition."""
+    """[approx_L, details_L, ..., details_1] multi-level decomposition; each
+    details entry is the (horiz, vert, diag) band triple of one level."""
     if level < 1:
         raise DomainError("decomposition level must be >= 1")
     check_divisible(img.shape, level)
     coeffs = []
     approx = np.asarray(img, dtype=float)
     for _ in range(level):
-        approx, details = dwt2(approx, order)
-        coeffs.append(details)
+        r, c = approx.shape[0] // 2, approx.shape[1] // 2
+        bands = _level(2 * r, order) @ approx @ _level(2 * c, order).T
+        approx = bands[:r, :c]
+        coeffs.append((bands[:r, c:], bands[r:, :c], bands[r:, c:]))
     return [approx] + coeffs[::-1]
 
 
 def waverec2(coeffs, order: int) -> np.ndarray:
     approx = coeffs[0]
-    for details in coeffs[1:]:
-        approx = idwt2(approx, details, order)
+    for lh, hl, hh in coeffs[1:]:
+        m0, m1 = (_level(2 * size, order) for size in approx.shape)
+        approx = m0.T @ np.block([[approx, lh], [hl, hh]]) @ m1
     return approx
+
+
+def approximation_1d(v: np.ndarray, order: int, level: int) -> np.ndarray:
+    """Approximation band of a 1D signal: the lowpass half applied ``level`` times."""
+    check_divisible(v.shape, level)
+    for _ in range(level):
+        v = _level(v.size, order)[: v.size // 2] @ v
+    return v

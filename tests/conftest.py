@@ -66,3 +66,24 @@ def injected_background_density(
         dens, values=dens.values + background, normalized=False
     ).self_normalized()
     return injected, background, tilt_angle(quad)
+
+
+def marginal_cutoffs(density) -> tuple[list[float], float]:
+    """(cutoffs clean_density chose, the cutoff of the marginal image's 2D approximation band).
+
+    Cleaning builds that band from the marginals' 1D bands; decomposing the
+    marginal image itself must give exactly the same cutoff.
+    """
+    import purephase.denoise as dn
+    from purephase.wavelets import wavedec2
+
+    psd_cutoff, chosen = dn.psd_cutoff, []
+
+    def spy(image, fraction):
+        chosen.append(psd_cutoff(image, fraction))
+        return chosen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dn, "psd_cutoff", spy)
+        dn.clean_density(density, dn.CleaningConfig())
+    return chosen, psd_cutoff(wavedec2(dn.marginal_image(density).values, 4, 2)[0], 0.3)

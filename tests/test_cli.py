@@ -14,6 +14,7 @@ from purephase.density import Density2D, read_density, read_density_csv, write_d
 from purephase.fitting import fit_gaussian_2d
 from purephase.frames import _HEADER
 from purephase.states import DomainError
+from conftest import marginal_cutoffs
 
 pytestmark = pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
 
@@ -240,13 +241,37 @@ class TestDensityArtifacts:
     @pytest.mark.parametrize("name, digest", [
         # report's CSV exports: the bytes the sweep itself wrote before densities became .npy artifacts
         ("density_m+1.00.csv", "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf"),
-        ("cleaned_m+1.00.csv", "620c25801db22aacf7781db22fe0032c27d1e9bdaffd5b9b5a18f36254d7dbbb"),
+        ("cleaned_m+1.00.csv", "ead526141298d8403f24e024a1f4e9c1115d66e99d803affdbd37aa38376e713"),
         # the sweep's PPF1 sidecar, written through the shared key=value helper
         ("frames_m+1.00.ppf.meta", "3e82c2137d5937b4b539febaf0dd3e475c2e93cd635733c8704135deed85ed01"),
     ])
     def test_pinned_artifact_bytes(self, small_sweep, name, digest):
         out, _ = small_sweep
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("tag", ["0.50", "1.00", "2.00"])
+    def test_cleaning_cutoff_matches_2d_route(self, small_sweep, tag):
+        out, _ = small_sweep
+        chosen, two_d = marginal_cutoffs(read_density(out / f"density_m+{tag}.npy")[0])
+        assert chosen == [two_d]
+
+
+def test_artifacts_do_not_depend_on_thread_count(tmp_path):
+    # a reduction that BLAS splits across threads sums in a different order; on a
+    # single-core machine both runs use one thread and this cannot fail
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+        env.update(PYTHONPATH=src, PUREPHASE_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        code = f"import sys; from purephase import cli; sys.exit(cli.main({[*SMALL_SWEEP, '--out', str(out)]!r}))"
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "fits.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 class TestCliErrors:

@@ -14,7 +14,7 @@ from purephase.frames import DetectorConfig, synthesize_frames
 from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
 from purephase.states import DomainError, phase_plane_distance, pure_phase_params
 from purephase.wavelets import wavedec2
-from conftest import WAVELENGTH, injected_background_density
+from conftest import WAVELENGTH, injected_background_density, marginal_cutoffs
 
 
 def paper_quad(paper_dg, mag):
@@ -144,6 +144,11 @@ class TestCleanDensity:
         approx_m = wavedec2(rho_m, cfg.wavelet_order, cfg.decomp_level)[0]
         approx_marg = wavedec2(rho_marg, cfg.wavelet_order, cfg.decomp_level)[0]
         assert psd_cutoff(approx_marg, cfg.psd_threshold) <= psd_cutoff(approx_m, cfg.psd_threshold)
+
+    def test_cutoff_matches_2d_route_on_criterion_8_fixture(self):
+        injected, _, _ = injected_background_density(mag=2.5, frames=3000, rate=12.0, dark=0.02, beta=8.0, seed=101)
+        chosen, two_d = marginal_cutoffs(injected)
+        assert chosen == [two_d]
 
     def test_small_image_rejected(self):
         dens = Density2D(np.ones((16, 16)), 0.0, 1.0, 0.0, 1.0)

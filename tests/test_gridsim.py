@@ -359,3 +359,16 @@ class TestChainOracle:
             assert g.conditional_std(photon) == pytest.approx(closed.conditional_position_std(photon), rel=1e-3)
         # widths cannot see a mirrored axis; the sign of the correlation can
         assert l2_mismatch(g.density(), closed_form_density(closed, g)) < 1e-4
+
+    def test_grid_that_holds_the_result_is_accepted(self):
+        # the sum bound sigma_x + |z| sigma_q / k put axis 2 at 71.4 um here and
+        # refused the 545 um grid, but the propagated width is 65.3 um (8 sigma fits)
+        rng = np.random.default_rng(5)
+        state = dg_state(DGParams(rng.uniform(30.0, 70.0), rng.uniform(8.0, 20.0)), WAVELENGTH)
+        chain = [QuadraticPhase(-1.045e-4, PHOTON_2), Fresnel(-1563.0, PHOTON_1), Fresnel(-7705.0, PHOTON_2)]
+        g = discretize(state, auto_grid_spec(state, extent_sigmas=16.0, max_n=512))
+        closed = apply_chain(state, chain)
+        for element in chain:
+            g = apply_on_grid(g, element)
+        for photon in (1, 2):
+            assert g.marginal_std(photon) == pytest.approx(closed.marginal_position_std(photon), rel=1e-4)
