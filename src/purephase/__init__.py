@@ -5,32 +5,7 @@ the split-measurement model), gridsim (numerical oracle), frames (Monte-Carlo
 camera frames), estimation (frame statistics), denoise (spectral cleaning),
 fitting (Gaussian fits), config/pipeline/cli (batch reproduction).
 
-Submodules import numpy; they are loaded lazily so the CLI can pin thread
-counts first.
+Submodules import numpy; this package imports none of them, so the CLI can
+pin thread counts first.
 """
-from __future__ import annotations
-
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "states",
-    "optics",
-    "gridsim",
-    "density",
-    "frames",
-    "estimation",
-    "denoise",
-    "fitting",
-    "wavelets",
-    "config",
-    "pipeline",
-    "cli",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

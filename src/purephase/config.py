@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .denoise import CleaningConfig
-from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX
+from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX, SEED_STRIDE
 from .states import DomainError
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
@@ -68,11 +68,11 @@ class RunConfig:
     calib_width_px: int = 512
     calib_rate: float = 2.0
     # cleaning
-    wavelet_order: int = 4
-    decomp_level: int = 2
-    psd_threshold: float = 0.3
-    lowpass_cutoff: float = 0.12
-    kde_bandwidth_px: float = 1.5
+    wavelet_order: int = CleaningConfig.wavelet_order
+    decomp_level: int = CleaningConfig.decomp_level
+    psd_threshold: float = CleaningConfig.psd_threshold
+    lowpass_cutoff: float = CleaningConfig.lowpass_cutoff
+    kde_bandwidth_px: float = CleaningConfig.kde_bandwidth
     # run control
     seed: int = 12345
     out_dir: str = "out"
@@ -95,6 +95,8 @@ class RunConfig:
         for key, limit in _PPF1_LIMITS.items():
             if getattr(self, key) > limit:
                 raise DomainError(f"{key} must be at most {limit}, the PPF1 header's limit, got {getattr(self, key)}")
+        if self.frames > SEED_STRIDE:
+            raise DomainError(f"frames must be at most {SEED_STRIDE}, the stride between magnification seeds, got {self.frames}")
         if not (0.0 <= self.pixel_pitch_um < math.inf):
             raise DomainError(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {self.pixel_pitch_um!r}")
         # every density is arm_width_px square

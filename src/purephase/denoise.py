@@ -125,7 +125,7 @@ def _tapered_lowpass(image: np.ndarray, cutoff: float, bandwidth_px: float) -> n
     return np.fft.ifft2(np.fft.fft2(image) * window).real
 
 
-def clean_density(density: Density2D, config: CleaningConfig = CleaningConfig()) -> Density2D:
+def clean_density(density: Density2D, config: CleaningConfig) -> Density2D:
     """Appendix-style spectral cleaning; output is non-negative and renormalised.
 
     Steps: wavelet-decompose the density; take the structured bandwidth of the

@@ -17,11 +17,12 @@ kernel.
 Determinism: frame j draws everything from its own Philox stream keyed by
 seed XOR j, so stacks are bit-identical regardless of evaluation order or
 stack length.  Seeds of distinct stacks must therefore differ above the
-bits of the largest frame index (the pipeline spaces them 2**24 apart), or
-their frames collide.  Draws run frame by frame on one Philox per stack,
-re-keyed for each frame; a pair's two routes are two bits of one raw 64-bit
-word.  The Cholesky product, binning, dark counts and clipping run once per
-chunk of frames, with a single np.bincount.
+bits of the largest frame index, or their frames collide: the pipeline
+spaces them SEED_STRIDE = 2**24 apart, so its stacks hold at most 2**24
+frames.  Draws run frame by frame on one Philox per stack, re-keyed for
+each frame; a pair's two routes are two bits of one raw 64-bit word.  The
+Cholesky product, binning, dark counts and clipping run once per chunk of
+frames, with a single np.bincount.
 """
 from __future__ import annotations
 
@@ -121,6 +122,11 @@ class FrameStack:
         return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
 
 
+# seeds of the pipeline's stacks differ by multiples of this, so a stack of
+# more than SEED_STRIDE frames would replay the first frames of the next one
+SEED_STRIDE = 1 << 24
+
+
 def _frame_key(seed: int, frame_index: int) -> int:
     """Philox key of frame ``frame_index`` in a stack seeded with ``seed``."""
     return (int(seed) ^ int(frame_index)) & 0xFFFF_FFFF_FFFF_FFFF
@@ -169,10 +175,8 @@ def _caller_stacklevel() -> int:
 _CHUNK_FRAMES = 256
 
 
-def _synthesize(
-    cov: np.ndarray, det: DetectorConfig, n_frames: int, split: bool
-) -> tuple[np.ndarray, int, int]:
-    """Count images (n_frames, arms, height, width) uint8, pair total, split total.
+def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: dict, split: bool) -> FrameStack:
+    """Stack of count images (n_frames, arms, height, width) uint8 carrying ``metadata``.
 
     Each frame takes Poisson(mean_pair_rate) coordinate pairs drawn from the
     2x2 covariance.  With ``split`` there are two arms: a pair splits when its
@@ -188,7 +192,7 @@ def _synthesize(
     are bit 31 and bit 63 of its raw word, which is what
     ``integers(0, 2, size=(n, 2))`` returns from the same words.  The
     Cholesky product, binning, darks and clipping run once per chunk of
-    frames.
+    frames.  Split stacks add their pair and split totals to the metadata.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -252,7 +256,9 @@ def _synthesize(
         if det.dark_count_prob > 0.0:
             counts += uniform < det.dark_count_prob
         images[start:stop] = np.minimum(counts, 1 if det.clip_to_binary else 255)
-    return images, n_pairs_total, n_split_total
+    if split:
+        metadata.update(n_pairs_total=n_pairs_total, n_split_total=n_split_total)
+    return FrameStack(images, det, metadata)
 
 
 def synthesize_frames(quad: GaussianForm, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -263,24 +269,15 @@ def synthesize_frames(quad: GaussianForm, det: DetectorConfig, n_frames: int) ->
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.
     """
-    images, n_pairs_total, n_split_total = _synthesize(quad.covariance, det, n_frames, split=True)
-    meta = {
-        "kind": "split_measurement",
-        "n_pairs_total": n_pairs_total,
-        "n_split_total": n_split_total,
-        "quad_kk": quad.kk,
-        "quad_kp": quad.kp,
-        "quad_pp": quad.pp,
-    }
-    return FrameStack(images, det, meta)
+    meta = {"kind": "split_measurement", "quad_kk": quad.kk, "quad_kp": quad.kp, "quad_pp": quad.pp}
+    return _synthesize(quad.covariance, det, n_frames, meta, split=True)
 
 
 def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Photon-pair frames of |psi(x1, x2)|^2 on a single detector."""
     cov = state.position_covariance()
-    images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {"kind": "joint_position", "cov_11": cov[0, 0], "cov_12": cov[0, 1], "cov_22": cov[1, 1]}
-    return FrameStack(images, det, meta)
+    return _synthesize(cov, det, n_frames, meta, split=False)
 
 
 def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -295,30 +292,22 @@ def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -
     return stack
 
 
-def synthesize_farfield(
-    params: DGParams,
-    det: DetectorConfig,
-    n_frames: int,
-    fourier_focal: float = 15e4,
-    wavelength: float = 0.81,
-) -> FrameStack:
+def synthesize_farfield(params: DGParams, det: DetectorConfig, n_frames: int, fourier_focal: float, wavelength: float) -> FrameStack:
     """2f Fourier image of the crystal: momentum anti-correlated pair frames.
 
     Camera coordinate is x = wavelength*f*q/(2*pi); the mapping scale is
     recorded in the metadata so the width calibration can invert it.
     """
-    sp, sm = params.sigma_plus, params.sigma_minus
     scale = wavelength * fourier_focal / (2.0 * math.pi)
     # momentum-space covariance of the source state, mapped to the camera
     cov = scale * scale * dg_state(params, wavelength).momentum_covariance()
-    images, _, _ = _synthesize(cov, det, n_frames, split=False)
     meta = {
         "kind": "farfield",
-        "sigma_plus_true": sp,
-        "sigma_minus_true": sm,
+        "sigma_plus_true": params.sigma_plus,
+        "sigma_minus_true": params.sigma_minus,
         "farfield_scale": scale,
     }
-    return FrameStack(images, det, meta)
+    return _synthesize(cov, det, n_frames, meta, split=False)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +373,22 @@ def read_framestack(path) -> FrameStack:
     if binary:
         frames = np.unpackbits(frames, axis=2, count=px)
     frames = frames.reshape(n_frames, n_arms, height, width)
+    meta_path = str(path) + ".meta"
     try:
-        metadata = read_key_values(str(path) + ".meta")
-    except FileNotFoundError:
+        metadata = read_key_values(meta_path)
+    except FileNotFoundError:  # the header holds the geometry; the sidecar only the counting model
         metadata = {}
-    det = DetectorConfig(
-        pixel_pitch=pitch,
-        width=width,
-        height=height,
-        mean_pair_rate=float(metadata.get("mean_pair_rate", 0.0)),
-        dark_count_prob=float(metadata.get("dark_count_prob", 0.0)),
-        clip_to_binary=binary,
-        seed=seed,
-        keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
-    )
+    try:
+        det = DetectorConfig(
+            pixel_pitch=pitch,
+            width=width,
+            height=height,
+            mean_pair_rate=float(metadata.get("mean_pair_rate", 0.0)),
+            dark_count_prob=float(metadata.get("dark_count_prob", 0.0)),
+            clip_to_binary=binary,
+            seed=seed,
+            keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
+        )
+    except ValueError as exc:
+        raise DomainError(f"{meta_path}: {exc}") from None
     return FrameStack(frames, det, metadata)

@@ -227,7 +227,9 @@ def discretize(state: GaussianBiphotonState, spec: GridSpec) -> GridState:
     x1 = spec.axis(1)[:, None]
     x2 = spec.axis(2)[None, :]
     amp = state.evaluate(x1, x2)
-    amp /= math.sqrt(np.vdot(amp, amp).real * spec.dx1 * spec.dx2)
+    # einsum sums in one fixed order, with no temporary; BLAS's vdot splits the sum across threads
+    parts = amp.view(np.float64)
+    amp /= math.sqrt(np.einsum("ij,ij->", parts, parts) * spec.dx1 * spec.dx2)
     return GridState(amp, spec.dx1, spec.dx2, float(x1[0, 0]), float(x2[0, 0]), state.wavelength)
 
 

@@ -28,7 +28,7 @@ from .estimation import (
     estimate_density,
 )
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
-from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
+from .frames import SEED_STRIDE, DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
 from .sidecar import write_key_values
 from .states import (
@@ -57,7 +57,6 @@ __all__ = [
 
 _SEED_NEAR = 0xA1 << 32
 _SEED_FAR = 0xA2 << 32
-_SEED_MAG_STRIDE = 1 << 24
 
 
 def source_params(cfg: RunConfig) -> DGParams:
@@ -205,7 +204,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
 
 def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
     quad = quad_for(cfg, mag)
-    det = _detector_for(cfg, quad, cfg.seed ^ ((index + 1) * _SEED_MAG_STRIDE))
+    det = _detector_for(cfg, quad, cfg.seed ^ ((index + 1) * SEED_STRIDE))
     stack = synthesize_frames(quad, det, cfg.frames)
     scaled = scaled_params(cfg)
     stack.metadata.update(

@@ -193,10 +193,9 @@ class GaussianBiphotonState:
         w = self.position_form
         return np.array([[w.kk, w.kp], [w.kp, w.pp]])
 
-    def is_exchange_symmetric(self, rtol: float = 1e-10) -> bool:
-        """Whether m11 == m22 within rtol (photon-exchange symmetry)."""
-        scale = max(abs(self.m11), abs(self.m22))
-        return abs(self.m11 - self.m22) <= rtol * scale
+    def is_exchange_symmetric(self) -> bool:
+        """Whether m11 == m22 to 1e-10 relative (photon-exchange symmetry)."""
+        return abs(self.m11 - self.m22) <= 1e-10 * max(abs(self.m11), abs(self.m22))
 
     # -- normalisation -----------------------------------------------------
 

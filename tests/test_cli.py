@@ -458,6 +458,22 @@ class TestCliErrors:
         limit = 2**16 - 1 if key.endswith("_px") else 2**32 - 1
         assert err.endswith(f"{key} must be at most {limit}, the PPF1 header's limit, got {value}")
 
+    def test_frames_beyond_the_seed_stride(self, tmp_path, capsys):
+        # magnification i keys frame j by seed ^ ((i + 1) << 24) ^ j, so frame 2**24 of one
+        # magnification would replay frame 0 of the next; refused at load, by predict too
+        err = self.refused_before_output(tmp_path, capsys, ["predict"], f"frames={2**24 + 1}")
+        assert err.endswith(f"frames must be at most {2**24}, the stride between magnification seeds, got {2**24 + 1}")
+
+    def test_malformed_ppf1_sidecar(self, tmp_path, capsys):
+        cfg = self.one_mag_config(tmp_path)
+        assert cli.main(["simulate", "--config", str(cfg), "--frames", "300"]) == 0
+        meta = tmp_path / "frames_m+1.00.ppf.meta"
+        meta.write_text(meta.read_text().replace("mean_pair_rate=4.0", "mean_pair_rate=abc"))
+        assert cli.main(["estimate", "--config", str(cfg), "--frames", "300"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.endswith(f"{meta}: could not convert string to float: 'abc'")
+
     @pytest.mark.parametrize("verb", ["sweep", "simulate", "predict"])
     @pytest.mark.parametrize("pitch", ["-3", "nan", "inf"])
     def test_bad_pixel_pitch(self, tmp_path, capsys, verb, pitch):
@@ -482,12 +498,13 @@ class TestCliErrors:
 
 
 def test_runtime_imports_leave_scipy_unloaded():
-    # scipy is a test-only dependency: the command line must start without it
+    # scipy is a test-only dependency: the command line must start without it;
+    # and the cli module alone loads no numpy, so PUREPHASE_THREADS caps its threads
     code = (
-        "import sys, purephase.cli, purephase.pipeline; "
+        "import sys, purephase.cli; print('numpy' in sys.modules); import purephase.pipeline; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["False", "[]"]

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +86,29 @@ class TestDiscretize:
             discretize(state, GridSpec(64, 64, 2.0, 2.0))
         with pytest.raises(DomainError, match="pitch"):
             discretize(state, GridSpec(1024, 1024, 10.0, 10.0))
+
+    def test_grid_does_not_depend_on_blas_thread_count(self):
+        # a BLAS dot product splits its sum across threads and adds the parts in
+        # another order; this needs at least 2 cores, since on one core both runs
+        # use one thread and it cannot fail
+        code = (
+            "import hashlib\n"
+            "from purephase.gridsim import auto_grid_spec, discretize\n"
+            "from purephase.states import DGParams, dg_state\n"
+            "digest = hashlib.sha256()\n"
+            "for widths in [(30.0, 10.0), (100.0, 13.0), (286.0, 13.0)]:\n"
+            f"    state = dg_state(DGParams(*widths), {WAVELENGTH})\n"
+            "    digest.update(discretize(state, auto_grid_spec(state)).amplitudes.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+            env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestFresnelOracle:
