@@ -67,7 +67,7 @@ def main(argv=None) -> int:
         cfg = config_from_file(args.config, overrides)
         handler = getattr(pipeline, f"cmd_{args.command}")
         result = handler(cfg)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"purephase {args.command}: error: {exc}", file=sys.stderr)
         return 2
     print(f"purephase {args.command}: done (config {cfg.config_hash()}, out {cfg.out_dir})")

@@ -6,12 +6,30 @@ match :mod:`purephase.optics`: Fresnel kernel exp(+1j*k*(x-x')^2/(2*z)) (so the
 transfer function is exp(-1j*q^2*z*lam/(4*pi))) and Fourier transforms with
 the exp(-1j*q*x) kernel, which is numpy's forward FFT.
 
+A grid is built without a full-grid transcendental.  At centred indices i, j
+the exponent is a11 i^2 + a22 j^2 + 2 c i j, with a11 = m11 dx1^2,
+a22 = m22 dx2^2 and c = m12 dx1 dx2, and 4ij = (i+j)^2 - (i-j)^2 splits it,
+for any s, into
+
+    (a11 - s) i^2 + (a22 - s) j^2 + (s + c)/2 (i+j)^2 + (s - c)/2 (i-j)^2.
+
+So psi = A[i] B[j] H[i+j] T[i-j]: four 1D exp tables, with H and T read as
+Hankel and Toeplitz views.  s is whichever of a11, a22 has the smaller real
+part, which makes that axis's table all ones, so the grid costs one complex
+product and at most one axis scaling.  Every table is then largest at the
+grid centre exactly when |Re c| <= Re s; this holds for every
+exchange-symmetric state on an equal-pitch grid.  When it fails (unequal
+pitches can break it) a table can overflow exp, and the grid falls back to
+the state's own pointwise ``evaluate``, whose exponent is one sum.
+
 Each full-grid quantity is computed once.  A state squares its amplitudes in
 one pass, on first use, into cached row and column sums; the norm, the
 marginals and their widths read those sums, and a conditional slice squares
-only its own row or column.  A Fresnel propagation takes one spectrum over the
-targeted axes: its marginals give the support check and the transfer factors
-are multiplied into it in place before the one inverse FFT.
+only its own row or column.  The density and the conditional-mean profile
+square the grid once and normalise by their own sum.  A Fresnel propagation
+takes one spectrum over the targeted axes: its marginals give the support
+check and the transfer factors are multiplied into it in place before the one
+inverse FFT.
 """
 from __future__ import annotations
 
@@ -20,6 +38,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .optics import _target_axes
 from .states import DomainError, GaussianBiphotonState
@@ -89,7 +108,7 @@ class GridState:
     def density(self) -> np.ndarray:
         """|psi|^2 normalised as a continuous density (integrates to 1)."""
         d = _power(self.amplitudes)
-        d /= self.norm()
+        d /= d.sum() * self.dx1 * self.dx2
         return d
 
     # -- quadrature estimates ------------------------------------------------
@@ -129,12 +148,10 @@ class GridState:
         Used to regress the conditional-mean slope against the closed form.
         """
         d = self.density()
-        rows, cols, _ = self._power_sums
-        scale = self.norm()
         if which == 1:
-            y, moments, weights = self.x2_axis, self.x1_axis @ d, cols / scale
+            y, moments, weights = self.x2_axis, self.x1_axis @ d, d.sum(axis=0)
         else:
-            y, moments, weights = self.x1_axis, d @ self.x2_axis, rows / scale
+            y, moments, weights = self.x1_axis, d @ self.x2_axis, d.sum(axis=1)
         means = np.where(weights > 0, moments / np.maximum(weights, 1e-300), 0.0)
         return y, means, weights
 
@@ -221,16 +238,43 @@ def auto_grid_spec(
     return GridSpec(n[0], n[1], dx[0], dx[1])
 
 
+def _factor_grid(state: GaussianBiphotonState, spec: GridSpec) -> np.ndarray | None:
+    """psi on the grid as A[i] B[j] H[i+j] T[i-j] (see the module docstring),
+    or None when some table could grow past the peak."""
+    n1, n2 = spec.n1, spec.n2
+    a11, a22 = state.m11 * spec.dx1**2, state.m22 * spec.dx2**2
+    c = state.m12 * spec.dx1 * spec.dx2
+    s = a11 if a11.real <= a22.real else a22
+    if abs(c.real) > s.real:
+        return None
+    u = np.arange(n1 + n2 - 1, dtype=float)
+    sums = u - (n1 // 2 + n2 // 2)  # i + j at [k, l] is sums[k + l]
+    diffs = u - (n1 // 2 + n2 - 1 - n2 // 2)  # i - j at [k, l] is diffs[k - l + n2 - 1]
+    hankel = sliding_window_view(np.exp(state.log_norm - 0.5 * (s + c) * sums * sums), n2)
+    toeplitz = sliding_window_view(np.exp(-0.5 * (s - c) * diffs * diffs), n2)[:, ::-1]
+    amp = np.multiply(hankel, toeplitz)
+    # s is a11 or a22: that axis's table is all ones and is skipped
+    if a11 != s:
+        i = np.arange(n1, dtype=float) - n1 // 2
+        amp *= np.exp(-(a11 - s) * i * i)[:, None]
+    if a22 != s:
+        j = np.arange(n2, dtype=float) - n2 // 2
+        amp *= np.exp(-(a22 - s) * j * j)
+    return amp
+
+
 def discretize(state: GaussianBiphotonState, spec: GridSpec) -> GridState:
     """Pointwise evaluation of the state on the grid, renormalised to unit norm."""
     _sampling_requirements(state, spec)
-    x1 = spec.axis(1)[:, None]
-    x2 = spec.axis(2)[None, :]
-    amp = state.evaluate(x1, x2)
+    x1, x2 = spec.axis(1), spec.axis(2)
+    amp = _factor_grid(state, spec)
+    if amp is None:
+        amp = state.evaluate(x1[:, None], x2[None, :])
     # einsum sums in one fixed order, with no temporary; BLAS's vdot splits the sum across threads
     parts = amp.view(np.float64)
-    amp /= math.sqrt(np.einsum("ij,ij->", parts, parts) * spec.dx1 * spec.dx2)
-    return GridState(amp, spec.dx1, spec.dx2, float(x1[0, 0]), float(x2[0, 0]), state.wavelength)
+    # a complex /= costs twice a *= by the reciprocal
+    amp *= 1.0 / math.sqrt(np.einsum("ij,ij->", parts, parts) * spec.dx1 * spec.dx2)
+    return GridState(amp, spec.dx1, spec.dx2, float(x1[0]), float(x2[0]), state.wavelength)
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,18 @@ class TestCliErrors:
         err = self.refused_before_output(tmp_path, capsys, ["predict"], f"frames={2**24 + 1}")
         assert err.endswith(f"frames must be at most {2**24}, the stride between magnification seeds, got {2**24 + 1}")
 
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a stack beyond memory fails in numpy's allocator (a MemoryError subclass);
+        # the stand-in raises its message without allocating anything
+        message = "Unable to allocate 8.00 GiB for an array with shape (16777216, 2, 1, 256) and data type uint8"
+
+        def oversized(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(pl, "synthesize_frames", oversized)
+        err = self.refused_before_output(tmp_path, capsys, ["simulate"], "")
+        assert err == f"purephase simulate: error: {message}"
+
     def test_malformed_ppf1_sidecar(self, tmp_path, capsys):
         cfg = self.one_mag_config(tmp_path)
         assert cli.main(["simulate", "--config", str(cfg), "--frames", "300"]) == 0
@@ -485,6 +497,7 @@ class TestCliErrors:
         ("psd_threshold=1.5", "psd_threshold must lie strictly between 0 and 1"),
         ("decomp_level=7", "image (256, 256) too small for decomp_level=7 (maximum 6)"),
         ("arm_width_px=130", "image dimension 130 is not divisible by 2^2; reduce the decomposition level or pad the image"),
+        ("wavelet_order=11", "wavelet order must be in 1..10, got 11"),
     ])
     def test_cleaning_keys_checked_when_config_loads(self, tmp_path, capsys, verb, key, message):
         # refused before the first stage writes anything, even by verbs that do not clean

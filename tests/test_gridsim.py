@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from purephase import gridsim
 from purephase.gridsim import GridSpec, auto_grid_spec, discretize, fft_fresnel, grid_pft
 from purephase.optics import (
     BOTH,
@@ -80,6 +81,54 @@ class TestDiscretize:
         ratio = g.amplitudes[box] / analytic[box]
         assert np.abs(ratio / ratio.flat[0] - 1.0).max() < 1e-10
 
+    @staticmethod
+    def evaluations(monkeypatch):
+        """Record every call of GaussianBiphotonState.evaluate; return the list and the original."""
+        calls, evaluate = [], GaussianBiphotonState.evaluate
+
+        def spy(state, x1, x2):
+            calls.append(state)
+            return evaluate(state, x1, x2)
+
+        monkeypatch.setattr(GaussianBiphotonState, "evaluate", spy)
+        return calls, evaluate
+
+    @staticmethod
+    def assert_matches_evaluate(g, state, spec, evaluate):
+        ref = evaluate(state, spec.axis(1)[:, None], spec.axis(2)[None, :])
+        ref /= math.sqrt(float(np.sum(np.abs(ref) ** 2)) * spec.dx1 * spec.dx2)
+        assert np.abs(g.amplitudes - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", ["dg_286_13", "pure_phase", "fresnel", "unequal_pitch"])
+    def test_factor_grid_matches_pointwise_evaluation(self, monkeypatch, case):
+        if case == "dg_286_13":
+            state = dg_state(DGParams(286.0, 13.0), WAVELENGTH)
+        elif case == "pure_phase":
+            state = pure_phase_state(pure_phase_params(DGParams(286.0, 13.0)), WAVELENGTH)
+        elif case == "fresnel":
+            params = DGParams(75.0, 15.0)
+            z = 0.7 * phase_plane_distance(params, WAVELENGTH)
+            state = apply_element(dg_state(params, WAVELENGTH), Fresnel(z, BOTH))
+            assert state.m11.imag != 0.0 and state.m12.imag != 0.0
+        else:
+            state = GaussianBiphotonState.from_quadratic(1e-3, 4e-3, -0.5e-3 + 0.3e-3j, WAVELENGTH)
+        spec = GridSpec(256, 128, 1.25, 0.9) if case == "unequal_pitch" else auto_grid_spec(state)
+        calls, evaluate = self.evaluations(monkeypatch)
+        g = discretize(state, spec)
+        assert calls == []
+        self.assert_matches_evaluate(g, state, spec, evaluate)
+
+    def test_unbounded_factor_tables_fall_back_to_evaluate(self, monkeypatch):
+        # |m12| = 0.88 m11 here, so with dx1 = dx2 / 2 the cross term outweighs
+        # the smaller diagonal (|Re c| > Re a11) and some table would grow past the peak
+        state = dg_state(DGParams(60.0, 15.0), WAVELENGTH)
+        auto = auto_grid_spec(state)
+        spec = GridSpec(2 * auto.n1, auto.n2, auto.dx1 / 2.0, auto.dx2)
+        calls, evaluate = self.evaluations(monkeypatch)
+        g = discretize(state, spec)
+        assert calls == [state]
+        self.assert_matches_evaluate(g, state, spec, evaluate)
+
     def test_inadequate_sampling_rejected(self):
         state = dg_state(DGParams(100.0, 20.0), WAVELENGTH)
         with pytest.raises(DomainError, match="extent"):
@@ -94,10 +143,11 @@ class TestDiscretize:
         code = (
             "import hashlib\n"
             "from purephase.gridsim import auto_grid_spec, discretize\n"
-            "from purephase.states import DGParams, dg_state\n"
+            "from purephase.states import DGParams, dg_state, pure_phase_params, pure_phase_state\n"
             "digest = hashlib.sha256()\n"
-            "for widths in [(30.0, 10.0), (100.0, 13.0), (286.0, 13.0)]:\n"
-            f"    state = dg_state(DGParams(*widths), {WAVELENGTH})\n"
+            f"states = [dg_state(DGParams(*w), {WAVELENGTH}) for w in [(30.0, 10.0), (100.0, 13.0), (286.0, 13.0)]]\n"
+            f"states.append(pure_phase_state(pure_phase_params(DGParams(286.0, 13.0)), {WAVELENGTH}))\n"
+            "for state in states:\n"
             "    digest.update(discretize(state, auto_grid_spec(state)).amplitudes.tobytes())\n"
             "print(digest.hexdigest())\n"
         )
@@ -289,6 +339,23 @@ class TestQuadratureAnisotropic:
         assert grid.fedorov_ratio() == pytest.approx(marginal / conditional, rel=1e-12)
         norm = float(np.sum(np.abs(grid.amplitudes) ** 2) * grid.dx1 * grid.dx2)
         assert grid.norm() == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_conditional_mean_profile_squares_the_grid_once(self, grid, monkeypatch, which):
+        d = reference_density(grid)
+        power = np.abs(grid.amplitudes) ** 2
+        norm = power.sum() * grid.dx1 * grid.dx2
+        if which == 1:
+            axis, moments, weights = grid.x2_axis, grid.x1_axis @ d, power.sum(axis=0) / norm
+        else:
+            axis, moments, weights = grid.x1_axis, d @ grid.x2_axis, power.sum(axis=1) / norm
+        squared, square = [], gridsim._power
+        monkeypatch.setattr(gridsim, "_power", lambda amp: squared.append(amp.size) or square(amp))
+        y, means, w = dataclasses.replace(grid).conditional_mean_profile(which)
+        assert squared == [grid.amplitudes.size]
+        assert np.array_equal(y, axis)
+        np.testing.assert_allclose(w, weights, rtol=1e-12, atol=1e-12 * weights.max())
+        np.testing.assert_allclose(means, moments / weights, rtol=1e-12, atol=1e-12 * np.abs(axis).max())
 
     @pytest.mark.parametrize("transform", ["fresnel", "pft"])
     def test_transform_does_not_reuse_cached_sums(self, grid, transform):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from purephase.states import DomainError
 from purephase.wavelets import _level, approximation_1d, daubechies_filters, wavedec2, waverec2
 
 ORDERS = [1, 2, 4, 10]
@@ -16,6 +17,17 @@ def filter_defect(order: int) -> float:
     """
     h, _ = daubechies_filters(order)
     return max(abs(float(h[2 * k:] @ h[: h.size - 2 * k]) - (k == 0)) for k in range(order))
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_every_accepted_order_is_orthonormal(order):
+    assert filter_defect(order) < 2e-12
+
+
+@pytest.mark.parametrize("order", [0, 11, 20])
+def test_orders_outside_1_to_10_refused(order):
+    with pytest.raises(DomainError, match=rf"wavelet order must be in 1\.\.10, got {order}"):
+        daubechies_filters(order)
 
 
 def coefficient_energy(coeffs) -> float:
