@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .denoise import CleaningConfig
-from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX, SEED_STRIDE
+from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX
 from .states import DomainError
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
@@ -95,8 +95,6 @@ class RunConfig:
         for key, limit in _PPF1_LIMITS.items():
             if getattr(self, key) > limit:
                 raise DomainError(f"{key} must be at most {limit}, the PPF1 header's limit, got {getattr(self, key)}")
-        if self.frames > SEED_STRIDE:
-            raise DomainError(f"frames must be at most {SEED_STRIDE}, the stride between magnification seeds, got {self.frames}")
         if not (0.0 <= self.pixel_pitch_um < math.inf):
             raise DomainError(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {self.pixel_pitch_um!r}")
         # every density is arm_width_px square

@@ -14,15 +14,15 @@ Synthesis builds it, the estimator reads both arms from it at once and PPF1
 writes it as it lies in memory.  Split and single-arm stacks come from one
 kernel.
 
-Determinism: frame j draws everything from its own Philox stream keyed by
-seed XOR j, so stacks are bit-identical regardless of evaluation order or
-stack length.  Seeds of distinct stacks must therefore differ above the
-bits of the largest frame index, or their frames collide: the pipeline
-spaces them SEED_STRIDE = 2**24 apart, so its stacks hold at most 2**24
-frames.  Draws run frame by frame on one Philox per stack, re-keyed for
-each frame; a pair's two routes are two bits of one raw 64-bit word.  The
-Cholesky product, binning, dark counts and clipping run once per chunk of
-frames, with a single np.bincount.
+Determinism: a stack draws from Philox4x64 keyed by (seed mod 2^64,
+stream), one block of 256 frames at a time, block b from counter
+[0, 0, b, 0], with a few vectorized draws per block; dark counts are a
+binomial number of cells sampled without replacement.  Stacks are
+bit-identical regardless of evaluation order, and a stack is a prefix of
+any longer stack with the same key.  Stacks under distinct keys share no
+frame at any length, so the pipeline gives each of its stacks its own
+stream and no longer caps stacks at 2^24 frames (the stride its seeds used
+to be spaced by): a stack holds as many frames as PPF1 stores.
 """
 from __future__ import annotations
 
@@ -75,12 +75,15 @@ class DetectorConfig:
     clip_to_binary: bool = True
     seed: int = 0
     keep_unsplit: bool = True  # keep both-photons-one-arm events
+    stream: int = 0  # second word of the Philox key: stacks of one seed differ by stream
 
     def __post_init__(self):
         if not (0.0 < self.pixel_pitch < math.inf):
             raise DomainError(f"pixel_pitch must be positive and finite, got {self.pixel_pitch!r}")
         if not -(2**63) <= self.seed < 2**63:  # the q field of the PPF1 header
             raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
+        if not 0 <= self.stream < 2**64:
+            raise DomainError(f"stream must fit in an unsigned 64-bit integer, got {self.stream}")
         if self.width < 2 or self.height < 1:
             raise DomainError("detector needs width >= 2 and height >= 1")
         if not (0.0 <= self.mean_pair_rate < math.inf):
@@ -122,16 +125,6 @@ class FrameStack:
         return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
 
 
-# seeds of the pipeline's stacks differ by multiples of this, so a stack of
-# more than SEED_STRIDE frames would replay the first frames of the next one
-SEED_STRIDE = 1 << 24
-
-
-def _frame_key(seed: int, frame_index: int) -> int:
-    """Philox key of frame ``frame_index`` in a stack seeded with ``seed``."""
-    return (int(seed) ^ int(frame_index)) & 0xFFFF_FFFF_FFFF_FFFF
-
-
 def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> None:
     """Peak expected counts per pixel per frame; warn above 0.15, error above 1.
 
@@ -171,8 +164,9 @@ def _caller_stacklevel() -> int:
     return level
 
 
-# frames binned per np.bincount call; bounds the int64 count temporaries
-_CHUNK_FRAMES = 256
+# frames per Philox block: part of the stream format, not a tuning knob, since
+# block b's draws come from the counter [0, 0, b, 0] and change with its size
+_STREAM_BLOCK_FRAMES = 256
 
 
 def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: dict, split: bool) -> FrameStack:
@@ -183,16 +177,17 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
     photons take different paths (x_k lands in arm 0, x_p in arm 1),
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.  Without ``split`` both coordinates of every
-    pair land on the single arm.  Frame j draws, in this order, from
-    Philox(key=seed ^ j): the pair count, x normals, y normals (2d),
-    then for split stacks one raw 64-bit word per pair for the routes, x and
-    y (2d) marginal normals, then one uniform per pixel and arm when dark
-    counts are on.  The stack holds one Philox and re-keys it per frame to
-    the state a fresh Philox(key=seed ^ j) starts in.  A pair's two routes
-    are bit 31 and bit 63 of its raw word, which is what
-    ``integers(0, 2, size=(n, 2))`` returns from the same words.  The
-    Cholesky product, binning, darks and clipping run once per chunk of
-    frames.  Split stacks add their pair and split totals to the metadata.
+    pair land on the single arm.  Block b (frames 256b..256b+255) draws from
+    Philox(key=[seed mod 2^64, stream]) at counter [0, 0, b, 0], in this
+    order: the block's 256 pair counts, every pair's x (and y, 2d) normals,
+    then for split stacks one raw 64-bit word per pair for the routes (bits
+    31 and 63, which is what ``integers(0, 2, size=(n, 2))`` returns from the
+    same words) and the marginal normals, then with dark counts a binomial
+    number of dark cells and the cells themselves, sampled without
+    replacement.  Every block is drawn whole and the last one keeps only the
+    frames asked for, so a stack is a prefix of any longer stack with the
+    same key.  Split stacks add their pair and split totals over the kept
+    frames to the metadata.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -201,61 +196,46 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
     chol = np.linalg.cholesky(cov)
     arms = 2 if split else 1
     dims = 2 if det.two_d else 1
-    images = np.empty((n_frames, arms, det.height, det.width), dtype=np.uint8)
+    images = np.zeros((n_frames, arms, det.height, det.width), dtype=np.uint8)
+    frame_cells = arms * det.height * det.width
     n_pairs_total = 0
     n_split_total = 0
-    # a new Philox seeds a SeedSequence from OS entropy; resetting one is
-    # cheaper and leaves it in the state Philox(key=_frame_key(seed, j)) starts in
-    bitgen = np.random.Philox()
+    # a new Philox seeds a SeedSequence from OS entropy; the stack builds one
+    # and resets its counter (and empties its buffer) once per block
+    bitgen = np.random.Philox(key=np.array([det.seed & 0xFFFF_FFFF_FFFF_FFFF, det.stream], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    fresh = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": np.zeros(2, np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    for start in range(0, n_frames, _CHUNK_FRAMES):
-        stop = min(start + _CHUNK_FRAMES, n_frames)
-        pairs, normals, raw, marg = [], [], [], []
-        if det.dark_count_prob > 0.0:
-            uniform = np.empty((stop - start, arms, det.height, det.width))
-        for j in range(start, stop):
-            fresh["state"]["key"][0] = _frame_key(det.seed, j)
-            bitgen.state = fresh
-            n = int(rng.poisson(det.mean_pair_rate))
-            pairs.append(n)
-            normals.append(rng.standard_normal((dims, n, 2)))
-            if split:
-                raw.append(bitgen.random_raw(n))
-                marg.append(rng.standard_normal((dims, n, 2)))
-            if det.dark_count_prob > 0.0:
-                rng.random(out=uniform[j - start])
-        pairs = np.array(pairs)
-        n_pairs_total += int(pairs.sum())
-        coords = np.concatenate(normals, axis=1) @ chol.T  # (dims, pairs, 2)
+    state = bitgen.state
+    for block, start in enumerate(range(0, n_frames, _STREAM_BLOCK_FRAMES)):
+        kept = min(n_frames - start, _STREAM_BLOCK_FRAMES)
+        state["state"]["counter"][2] = block
+        bitgen.state = state
+        pairs = rng.poisson(det.mean_pair_rate, size=_STREAM_BLOCK_FRAMES)
+        n = int(pairs.sum())
+        coords = rng.standard_normal((dims, n, 2)) @ chol.T  # (dims, pairs, 2)
+        frame = np.repeat(np.arange(_STREAM_BLOCK_FRAMES), pairs)[:, None]
+        keep = frame < kept
+        n_pairs_total += int(pairs[:kept].sum())
         arm = np.broadcast_to(np.arange(arms), coords.shape[1:])
-        keep = True
         if split:
-            raw = np.concatenate(raw)
+            raw = bitgen.random_raw(n)
             # int64 like integers(): uint64 routes would turn the arm index into float64
             routes = np.stack([(raw >> 31) & 1, raw >> 63], axis=1).astype(np.int64)
             together = routes[:, :1] == routes[:, 1:]
-            n_split_total += int(pairs.sum() - together.sum())
+            n_split_total += int(np.count_nonzero(keep & ~together))
             arm = np.where(together, routes[:, :1], arm)
-            coords = np.where(together, np.concatenate(marg, axis=1) * sigmas[arm], coords)
-            keep = ~together | det.keep_unsplit
-        frame = np.repeat(np.arange(stop - start), pairs)[:, None]
+            coords = np.where(together, rng.standard_normal((dims, n, 2)) * sigmas[arm], coords)
+            keep = keep & (~together | det.keep_unsplit)
         ix = np.floor(coords[0] / det.pixel_pitch + det.width / 2.0).astype(np.int64)
         iy = np.floor(coords[1] / det.pixel_pitch + det.height / 2.0).astype(np.int64) if det.two_d else 0
         keep = keep & (ix >= 0) & (ix < det.width) & (iy >= 0) & (iy < det.height)
-        pixel = ((frame * arms + arm) * det.height + iy) * det.width + ix
-        counts = np.bincount(pixel[keep], minlength=images[start:stop].size)
-        counts = counts.reshape(-1, arms, det.height, det.width)
+        hits = (((frame * arms + arm) * det.height + iy) * det.width + ix)[keep]  # cells of the block
         if det.dark_count_prob > 0.0:
-            counts += uniform < det.dark_count_prob
-        images[start:stop] = np.minimum(counts, 1 if det.clip_to_binary else 255)
+            cells = _STREAM_BLOCK_FRAMES * frame_cells
+            dark = rng.choice(cells, rng.binomial(cells, det.dark_count_prob), replace=False, shuffle=False)
+            hits = np.concatenate([hits, dark[dark < kept * frame_cells]])
+        # counts are sparse: write only the cells that hold one
+        cell, count = np.unique(hits, return_counts=True)
+        images.reshape(-1)[start * frame_cells + cell] = np.minimum(count, 1 if det.clip_to_binary else 255)
     if split:
         metadata.update(n_pairs_total=n_pairs_total, n_split_total=n_split_total)
     return FrameStack(images, det, metadata)
@@ -342,6 +322,7 @@ def write_framestack(stack: FrameStack, path) -> None:
         ("mean_pair_rate", det.mean_pair_rate),
         ("dark_count_prob", det.dark_count_prob),
         ("keep_unsplit", int(det.keep_unsplit)),
+        ("stream", det.stream),
     ])
 
 
@@ -388,6 +369,7 @@ def read_framestack(path) -> FrameStack:
             clip_to_binary=binary,
             seed=seed,
             keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
+            stream=int(metadata.get("stream", 0)),
         )
     except ValueError as exc:
         raise DomainError(f"{meta_path}: {exc}") from None

@@ -28,7 +28,7 @@ from .estimation import (
     estimate_density,
 )
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
-from .frames import SEED_STRIDE, DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
+from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
 from .sidecar import write_key_values
 from .states import (
@@ -55,8 +55,9 @@ __all__ = [
     "cmd_report",
 ]
 
-_SEED_NEAR = 0xA1 << 32
-_SEED_FAR = 0xA2 << 32
+# Philox streams of the calibration stacks; magnification i takes stream i + 1
+_STREAM_NEAR = 2**64 - 1
+_STREAM_FAR = 2**64 - 2
 
 
 def source_params(cfg: RunConfig) -> DGParams:
@@ -86,7 +87,7 @@ def _pitch_for(cfg: RunConfig, quad) -> float:
     return cfg.pixel_pitch_um or _auto_pitch(quad, cfg.arm_width_px)
 
 
-def _detector_for(cfg: RunConfig, quad, seed: int) -> DetectorConfig:
+def _detector_for(cfg: RunConfig, quad, stream: int) -> DetectorConfig:
     height = cfg.arm_height_px if cfg.mode == "2d" else 1
     return DetectorConfig(
         pixel_pitch=_pitch_for(cfg, quad),
@@ -95,8 +96,9 @@ def _detector_for(cfg: RunConfig, quad, seed: int) -> DetectorConfig:
         mean_pair_rate=cfg.mean_pair_rate,
         dark_count_prob=cfg.dark_count_prob,
         clip_to_binary=bool(cfg.clip_binary),
-        seed=seed,
+        seed=cfg.seed,
         keep_unsplit=bool(cfg.keep_unsplit),
+        stream=stream,
     )
 
 
@@ -138,9 +140,10 @@ def cmd_calibrate(cfg: RunConfig) -> dict:
         mean_pair_rate=cfg.calib_rate,
         dark_count_prob=cfg.dark_count_prob,
         clip_to_binary=bool(cfg.clip_binary),
-        seed=cfg.seed ^ _SEED_NEAR,
+        seed=cfg.seed,
+        stream=_STREAM_NEAR,
     )
-    far_det = dataclasses.replace(near_det, pixel_pitch=cfg.far_pitch_um, seed=cfg.seed ^ _SEED_FAR)
+    far_det = dataclasses.replace(near_det, pixel_pitch=cfg.far_pitch_um, stream=_STREAM_FAR)
     near = synthesize_nearfield(params, near_det, cfg.calib_frames)
     far = synthesize_farfield(params, far_det, cfg.calib_frames, cfg.fm_um, cfg.wavelength_um)
 
@@ -204,7 +207,7 @@ def cmd_predict(cfg: RunConfig) -> dict:
 
 def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
     quad = quad_for(cfg, mag)
-    det = _detector_for(cfg, quad, cfg.seed ^ ((index + 1) * SEED_STRIDE))
+    det = _detector_for(cfg, quad, index + 1)
     stack = synthesize_frames(quad, det, cfg.frames)
     scaled = scaled_params(cfg)
     stack.metadata.update(

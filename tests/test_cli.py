@@ -12,7 +12,7 @@ from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
 from purephase.density import Density2D, read_density, read_density_csv, write_density, write_density_csv
 from purephase.fitting import fit_gaussian_2d
-from purephase.frames import _HEADER
+from purephase.frames import _HEADER, read_framestack, write_framestack
 from purephase.states import DomainError
 from conftest import marginal_cutoffs
 
@@ -239,11 +239,11 @@ class TestDensityArtifacts:
             assert read_density(out / f"{name}.npy")[0].values.tobytes() == values.tobytes(), name
 
     @pytest.mark.parametrize("name, digest", [
-        # report's CSV exports: the bytes the sweep itself wrote before densities became .npy artifacts
-        ("density_m+1.00.csv", "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf"),
-        ("cleaned_m+1.00.csv", "ead526141298d8403f24e024a1f4e9c1115d66e99d803affdbd37aa38376e713"),
+        # report's CSV exports of the sweep's raw and cleaned densities
+        ("density_m+1.00.csv", "856c96d7ca0f92b512f1427fcc6465e3585ecdfd7ee7a74ef3874e28539d4832"),
+        ("cleaned_m+1.00.csv", "0c4f07f1068d68fb97762826a980fd207af74a94ce57041e346e21e379d06743"),
         # the sweep's PPF1 sidecar, written through the shared key=value helper
-        ("frames_m+1.00.ppf.meta", "3e82c2137d5937b4b539febaf0dd3e475c2e93cd635733c8704135deed85ed01"),
+        ("frames_m+1.00.ppf.meta", "10914a3e057b557eef4a82d3650ba6cffd9a16182cc4cee671bb744d0ba84096"),
     ])
     def test_pinned_artifact_bytes(self, small_sweep, name, digest):
         out, _ = small_sweep
@@ -272,6 +272,33 @@ def test_artifacts_do_not_depend_on_thread_count(tmp_path):
     assert names == sorted(os.listdir(outs[1])) and "fits.csv" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_every_stack_has_its_own_key(tmp_path, monkeypatch):
+    # one sweep and one calibrate at one seed: the PPF1 header and sidecar of each stack
+    # record a (seed, stream) key that no other stack shares
+    made = []
+
+    def spy(synthesize):
+        def wrapped(*args, **kwargs):
+            made.append(synthesize(*args, **kwargs))
+            return made[-1]
+        return wrapped
+
+    for name in ("synthesize_frames", "synthesize_nearfield", "synthesize_farfield"):
+        monkeypatch.setattr(pl, name, spy(getattr(pl, name)))
+    out, cfg = tmp_path / "out", tmp_path / "run.cfg"
+    cfg.write_text(f"out_dir={out}\nframes=300\ncalib_frames=2000\nmagnifications=0.5,1.0,2.0\nseed=11\n")
+    for verb in ("sweep", "calibrate"):
+        assert cli.main([verb, "--config", str(cfg)]) == 0
+    keys = []
+    for i, stack in enumerate(made):  # calibrate writes no stack: write each one here
+        write_framestack(stack, tmp_path / f"stack{i}.ppf")
+        det = read_framestack(tmp_path / f"stack{i}.ppf").detector
+        keys.append((det.seed, det.stream))
+    assert len(made) == 5 and len(set(keys)) == 5
+    written = [read_framestack(path).detector for path in sorted(out.glob("frames_*.ppf"))]
+    assert [(det.seed, det.stream) for det in written] == keys[:3]
 
 
 class TestCliErrors:
@@ -458,11 +485,13 @@ class TestCliErrors:
         limit = 2**16 - 1 if key.endswith("_px") else 2**32 - 1
         assert err.endswith(f"{key} must be at most {limit}, the PPF1 header's limit, got {value}")
 
-    def test_frames_beyond_the_seed_stride(self, tmp_path, capsys):
-        # magnification i keys frame j by seed ^ ((i + 1) << 24) ^ j, so frame 2**24 of one
-        # magnification would replay frame 0 of the next; refused at load, by predict too
-        err = self.refused_before_output(tmp_path, capsys, ["predict"], f"frames={2**24 + 1}")
-        assert err.endswith(f"frames must be at most {2**24}, the stride between magnification seeds, got {2**24 + 1}")
+    def test_frames_beyond_two_to_the_24(self, tmp_path):
+        # each stack has its own Philox stream, so no stride between seeds caps the frame count
+        # below the PPF1 header's limit; predict loads the configuration without synthesizing
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out_dir={tmp_path}\nmagnifications=1.0\nframes={2**24 + 1}\n")
+        assert cli.main(["predict", "--config", str(cfg)]) == 0
+        assert (tmp_path / "predict_tilt.csv").exists()
 
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
         # a stack beyond memory fails in numpy's allocator (a MemoryError subclass);

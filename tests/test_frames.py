@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 import purephase.pipeline as pl
-from purephase import frames
 from purephase.config import RunConfig
 from purephase.frames import (
     DetectorConfig,
@@ -78,6 +78,18 @@ class TestDetectorConfig:
             path = tmp_path / "stack.ppf"
             write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(seed=seed), 2), path)
             assert read_framestack(path).detector.seed == seed
+
+    def test_stream_is_an_unsigned_64_bit_integer(self, paper_dg, tmp_path):
+        for stream in (-1, 2**64):
+            with pytest.raises(DomainError, match=f"unsigned 64-bit integer, got {stream}"):
+                DetectorConfig(pixel_pitch=18.0, width=64, stream=stream)
+        # the sidecar records the stream; a stack without one reads as stream 0
+        path = tmp_path / "stack.ppf"
+        for stream in (0, 2**64 - 1):
+            write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(stream=stream), 2), path)
+            assert read_framestack(path).detector.stream == stream
+        (tmp_path / "stack.ppf.meta").unlink()
+        assert read_framestack(path).detector.stream == 0
 
     def test_occupancy_warning_and_error(self, paper_dg):
         quad = paper_quad(paper_dg)
@@ -224,19 +236,46 @@ REKEY_CASES = {
 
 
 class TestRekeying:
-    """A stack re-keys one bit generator per frame; no state may leak from one frame to the next."""
+    """A stack draws whole blocks of frames from one bit generator keyed by (seed, stream)."""
 
-    @pytest.mark.parametrize("chunk", [frames._CHUNK_FRAMES, 3])
+    @pytest.mark.parametrize("short, long", [(300, 600), (1, 256)])
     @pytest.mark.parametrize("case", sorted(REKEY_CASES))
-    def test_frame_j_is_the_one_frame_stack_at_seed_xor_j(self, paper_dg, monkeypatch, case, chunk):
-        monkeypatch.setattr(frames, "_CHUNK_FRAMES", chunk)
-        build, seed, n = REKEY_CASES[case], 12345, 10
-        stack = build(paper_dg, seed, n)
-        for j in range(n):
-            single = build(paper_dg, seed ^ j, 1)
-            assert np.array_equal(single.arm_k[0], stack.arm_k[j]), j
-            if stack.dual_arm:
-                assert np.array_equal(single.arm_p[0], stack.arm_p[j]), j
+    def test_stack_is_a_prefix_of_a_longer_stack(self, paper_dg, case, short, long):
+        build, seed = REKEY_CASES[case], 12345
+        prefix, stack = build(paper_dg, seed, short), build(paper_dg, seed, long)
+        assert np.array_equal(prefix.counts, stack.counts[:short])
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    def test_block_layout(self, paper_dg):
+        # block b draws its pair counts first, from Philox(key=[seed mod 2^64, stream]) at
+        # counter [0, 0, b, 0]; the arms span +-10 marginal widths, so no photon is lost
+        # and every pair leaves two counts in its frame
+        seed, stream, rate = -7, 2**64 - 3, 3.0
+        det = quiet_detector(seed=seed, stream=stream, mean_pair_rate=rate, clip_to_binary=False, pixel_pitch=40.0)
+        stack = synthesize_frames(paper_quad(paper_dg), det, 300)
+        key = np.array([seed % 2**64, stream], dtype=np.uint64)
+        blocks = [
+            np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0])).poisson(rate, size=256)
+            for b in (0, 1)
+        ]
+        pairs = np.concatenate(blocks)[:300]
+        assert np.array_equal(stack.counts.sum(axis=(1, 2, 3)), 2 * pairs)
+        assert stack.metadata["n_pairs_total"] == pairs.sum()
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    def test_neighbouring_seeds_share_no_frame(self, paper_dg):
+        # dense frames (about 20 pairs and 5 dark counts each), so equal frames are no chance;
+        # a key of seed XOR frame index would give frame j of s to frame j ^ 1 of s ^ 1
+        seed = 12345
+        det = quiet_detector(mean_pair_rate=20.0, dark_count_prob=0.01)
+        seen = {}
+        for s in (seed, seed ^ 1, seed + 1):
+            stack = synthesize_frames(paper_quad(paper_dg), dataclasses.replace(det, seed=s), 300)
+            frames_of = {frame.tobytes() for frame in stack.counts}
+            assert len(frames_of) == stack.n_frames
+            for other, earlier in seen.items():
+                assert not frames_of & earlier, (s, other)
+            seen[s] = frames_of
 
     def test_one_bit_generator_per_stack(self, paper_dg, monkeypatch):
         built = []
@@ -364,12 +403,12 @@ class TestGoldenStreams:
     @pytest.mark.parametrize(
         "case, digest, n_pairs, n_split",
         [
-            ("1d_darks", "a5cff21bffbf684c2dacd96098fea0485bfab7d5e5ffe4d049f9144f927515dc", 796, 423),
-            ("discard_unsplit", "8a465475fc7a88814bf1c19c33838cbc1312b4aefeb3ee6a1ed70d8f885a78ae", 796, 423),
-            ("unclipped_darks", "9c00072262bae3ed17f71eabdae2f37afbc3beef21e4703e3a388d83ab4c0f78", 796, 423),
-            ("2d", "1daf2bdce3902d3c77d44010fdb95bb4ac5105c1b76b70b988a325fbfcb90364", 796, 387),
-            ("nearfield", "02851f2239a9cd0654465890e8adb17e657fe9317674134b10d67fa1dc523065", None, None),
-            ("farfield", "b6135b46a2a78f0b1478db5db95d508e74875e4530842771d3998b013f0c2bb3", None, None),
+            ("1d_darks", "93b6f1246a62ceb23b3a679a023b66dfefe9986dfa96bdca7b403628087ce256", 841, 414),
+            ("discard_unsplit", "f400e7de028108f182b470cd0a210bf14f6d889f84a25a9b9edfc1581eeeeb0a", 841, 414),
+            ("unclipped_darks", "55bb205c1dca2eb9c06faac71cc84279ba23786edf61a81e82a9846c4061dcd6", 841, 414),
+            ("2d", "f81a35d2735e3765812ea97940f4d175fc23f2ec98e3ce8ebf796e578a635f8d", 841, 432),
+            ("nearfield", "768a214e750ae27b43d39f33ef8aed72336a7d40732b4e3b9e06f7051e7136f4", None, None),
+            ("farfield", "42402b0b5d2a6d49ff47deb6b80e37127ce4904baedc6718fc96b4163602037b", None, None),
         ],
     )
     def test_stack_bytes_and_counts(self, paper_dg, case, digest, n_pairs, n_split):
