@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import os
 import subprocess
@@ -227,6 +228,35 @@ def small_sweep(tmp_path_factory):
     return out, written
 
 
+# the PPF1 stacks SMALL_SWEEP wrote under the frame layout that keyed frame j by
+# seed ^ ((i + 1) << 24) ^ j, gzipped; their sidecars record no stream
+ARCHIVED_STACKS = Path(__file__).parent / "data" / "sweep_seed11"
+
+
+@pytest.fixture(scope="module")
+def archived_sweep(tmp_path_factory):
+    """estimate, clean and report run on the archived stacks of SMALL_SWEEP."""
+    out = tmp_path_factory.mktemp("archived_sweep")
+    for packed in ARCHIVED_STACKS.glob("*.ppf.gz"):
+        (out / packed.stem).write_bytes(gzip.decompress(packed.read_bytes()))
+    for meta in ARCHIVED_STACKS.glob("*.ppf.meta"):
+        (out / meta.name).write_bytes(meta.read_bytes())
+    for verb in ("estimate", "clean"):
+        assert cli.main([verb, *SMALL_SWEEP[1:], "--out", str(out)]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    return out
+
+
+# what the sweep itself writes, by artifact name: any change to the frame streams re-rolls these
+SWEEP_DIGESTS = {
+    # report's CSV exports of the sweep's raw and cleaned densities
+    "density_m+1.00.csv": "856c96d7ca0f92b512f1427fcc6465e3585ecdfd7ee7a74ef3874e28539d4832",
+    "cleaned_m+1.00.csv": "0c4f07f1068d68fb97762826a980fd207af74a94ce57041e346e21e379d06743",
+    # the sweep's PPF1 sidecar, written through the shared key=value helper
+    "frames_m+1.00.ppf.meta": "10914a3e057b557eef4a82d3650ba6cffd9a16182cc4cee671bb744d0ba84096",
+}
+
+
 class TestDensityArtifacts:
     def test_npy_grids_are_the_sweep_densities_bitwise(self, small_sweep):
         out, written = small_sweep
@@ -239,15 +269,19 @@ class TestDensityArtifacts:
             assert read_density(out / f"{name}.npy")[0].values.tobytes() == values.tobytes(), name
 
     @pytest.mark.parametrize("name, digest", [
-        # report's CSV exports of the sweep's raw and cleaned densities
-        ("density_m+1.00.csv", "856c96d7ca0f92b512f1427fcc6465e3585ecdfd7ee7a74ef3874e28539d4832"),
-        ("cleaned_m+1.00.csv", "0c4f07f1068d68fb97762826a980fd207af74a94ce57041e346e21e379d06743"),
-        # the sweep's PPF1 sidecar, written through the shared key=value helper
-        ("frames_m+1.00.ppf.meta", "10914a3e057b557eef4a82d3650ba6cffd9a16182cc4cee671bb744d0ba84096"),
+        # report's CSV exports: the bytes the sweep itself wrote before densities became .npy
+        # artifacts, estimated and cleaned from the archived stacks, so that they pin
+        # estimation, cleaning and export whatever the frame streams become
+        ("density_m+1.00.csv", "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf"),
+        ("cleaned_m+1.00.csv", "ead526141298d8403f24e024a1f4e9c1115d66e99d803affdbd37aa38376e713"),
     ])
-    def test_pinned_artifact_bytes(self, small_sweep, name, digest):
+    def test_pinned_artifact_bytes(self, archived_sweep, name, digest):
+        assert hashlib.sha256((archived_sweep / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
+    def test_sweep_artifact_bytes(self, small_sweep, name):
         out, _ = small_sweep
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == SWEEP_DIGESTS[name]
 
     @pytest.mark.parametrize("tag", ["0.50", "1.00", "2.00"])
     def test_cleaning_cutoff_matches_2d_route(self, small_sweep, tag):
@@ -485,9 +519,11 @@ class TestCliErrors:
         limit = 2**16 - 1 if key.endswith("_px") else 2**32 - 1
         assert err.endswith(f"{key} must be at most {limit}, the PPF1 header's limit, got {value}")
 
-    def test_frames_beyond_two_to_the_24(self, tmp_path):
-        # each stack has its own Philox stream, so no stride between seeds caps the frame count
-        # below the PPF1 header's limit; predict loads the configuration without synthesizing
+    def test_frames_beyond_the_seed_stride(self, tmp_path):
+        # magnification seeds were once 2**24 apart, which capped frames at 2**24; each stack
+        # now has its own Philox stream, so only the PPF1 header's limit bounds the frame
+        # count. predict loads the configuration without synthesizing
+
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out_dir={tmp_path}\nmagnifications=1.0\nframes={2**24 + 1}\n")
         assert cli.main(["predict", "--config", str(cfg)]) == 0

@@ -400,18 +400,20 @@ def stack_digest(stack: FrameStack) -> str:
 class TestGoldenStreams:
     """Seeded stacks are pinned byte for byte: any change to a frame stream fails here."""
 
-    @pytest.mark.parametrize(
-        "case, digest, n_pairs, n_split",
-        [
-            ("1d_darks", "93b6f1246a62ceb23b3a679a023b66dfefe9986dfa96bdca7b403628087ce256", 841, 414),
-            ("discard_unsplit", "f400e7de028108f182b470cd0a210bf14f6d889f84a25a9b9edfc1581eeeeb0a", 841, 414),
-            ("unclipped_darks", "55bb205c1dca2eb9c06faac71cc84279ba23786edf61a81e82a9846c4061dcd6", 841, 414),
-            ("2d", "f81a35d2735e3765812ea97940f4d175fc23f2ec98e3ce8ebf796e578a635f8d", 841, 432),
-            ("nearfield", "768a214e750ae27b43d39f33ef8aed72336a7d40732b4e3b9e06f7051e7136f4", None, None),
-            ("farfield", "42402b0b5d2a6d49ff47deb6b80e37127ce4904baedc6718fc96b4163602037b", None, None),
-        ],
-    )
-    def test_stack_bytes_and_counts(self, paper_dg, case, digest, n_pairs, n_split):
+    # stack digest, pair total and split total of each case; tests are named by case alone
+    # so that regenerating a digest renames no test
+    PINNED = {
+        "1d_darks": ("93b6f1246a62ceb23b3a679a023b66dfefe9986dfa96bdca7b403628087ce256", 841, 414),
+        "discard_unsplit": ("f400e7de028108f182b470cd0a210bf14f6d889f84a25a9b9edfc1581eeeeb0a", 841, 414),
+        "unclipped_darks": ("55bb205c1dca2eb9c06faac71cc84279ba23786edf61a81e82a9846c4061dcd6", 841, 414),
+        "2d": ("f81a35d2735e3765812ea97940f4d175fc23f2ec98e3ce8ebf796e578a635f8d", 841, 432),
+        "nearfield": ("768a214e750ae27b43d39f33ef8aed72336a7d40732b4e3b9e06f7051e7136f4", None, None),
+        "farfield": ("42402b0b5d2a6d49ff47deb6b80e37127ce4904baedc6718fc96b4163602037b", None, None),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_stack_bytes_and_counts(self, paper_dg, case):
+        digest, n_pairs, n_split = self.PINNED[case]
         stack = GOLDEN_CASES[case](paper_dg)
         assert stack.n_frames == GOLDEN_FRAMES
         assert stack_digest(stack) == digest
