@@ -135,17 +135,22 @@ def moment_estimate(density: Density2D) -> tuple[float, float, float, float, flo
 _EXP_ZERO = -746.0  # exp(x) rounds to 0.0 for every x below -745.14
 
 
-def _gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset):
+def _gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset, out=None):
+    """amplitude * exp(-Q) + offset on the grid of ``coords``, built in place in ``out`` (fresh if None)."""
     k, p = coords
     dk = k - ck
     dp = p - cp
-    neg_q = -(kk * dk * dk + 2.0 * kp * dk * dp + pp * dp * dp)
+    # -Q term by term; rounding is sign-symmetric, so this is -(Q) to the bit
+    out = np.multiply(-2.0 * kp * dk, dp, out=out)
+    out -= kk * dk * dk
+    out -= pp * dp * dp
     # exp is exactly 0 below _EXP_ZERO; skipping those points spares numpy's
     # slow path for arguments under the normal range, and changes no value
-    e = np.exp(neg_q, out=np.zeros(np.shape(neg_q)), where=~(neg_q <= _EXP_ZERO))
-    e *= amplitude
-    e += offset
-    return e
+    np.exp(out, out=out, where=out > _EXP_ZERO)
+    np.maximum(out, 0.0, out=out)  # the skipped points, all below _EXP_ZERO, read 0
+    out *= amplitude
+    out += offset
+    return out
 
 
 # Exponents (a, b) of the monomials dk^a dp^b, in the order 1, dk, dp, dk^2,
@@ -154,7 +159,7 @@ _MONO_K = np.array([0, 1, 0, 2, 1, 0])
 _MONO_P = np.array([0, 0, 1, 0, 1, 2])
 
 
-def _normal_equations(k, p, params, e, r, n_cells) -> tuple[np.ndarray, np.ndarray]:
+def _normal_equations(k, p, params, e, r, n_cells, work=None) -> tuple[np.ndarray, np.ndarray]:
     """J^T J and J^T r of _gauss2d at ``params`` over ``n_cells`` cells of the grid k x p.
 
     ``e`` is the unit Gaussian exp(-Q) on the grid and ``r`` the residual, both
@@ -164,11 +169,12 @@ def _normal_equations(k, p, params, e, r, n_cells) -> tuple[np.ndarray, np.ndarr
     every entry is a combination of the separable moments sum e^2 dk^a dp^b
     (a + b <= 4) and sum e dk^a dp^b, sum e r dk^a dp^b (a + b <= 2).  Those
     are Vk^T W Vp with Vk = dk^(0..4), and the Jacobian itself is never formed.
+    ``work``, if given, is a grid-shaped buffer for the weights W.
     """
     amp, ck, cp, kk, kp, pp, _ = params
     vk = np.vander(k - ck, 5, increasing=True).T
     vp = np.vander(p - cp, 5, increasing=True)
-    w = e * e
+    w = np.multiply(e, e, out=work)
     m_ee = vk @ (w @ vp)
     m_e = vk @ (e @ vp)
     m_er = vk @ (np.multiply(e, r, out=w) @ vp)
@@ -305,21 +311,23 @@ def fit_gaussian_2d(density: Density2D, mask=None) -> GaussianFit2D:
     x0 = (*moment_estimate(seed), float(np.median(used)))
     k, p = density.k_axis, density.p_axis
     grid = (k[:, None], p[None, :])
+    work = np.empty(vals.shape)
 
-    def evaluate(x, r):
-        """Unit Gaussian at x, with the residual written into r; both are 0 outside the mask."""
-        e = _gauss2d(grid, 1.0, *x[1:6], 0.0)
+    def evaluate(x, er):
+        """Unit Gaussian at x into er[0] and the residual into er[1]; both are 0 outside the mask."""
+        e, r = er
+        _gauss2d(grid, 1.0, *x[1:6], 0.0, e)
         np.multiply(e, x[0], out=r)
         r += x[6]
         r -= vals
         if mask is not None:
             e *= mask
             r *= mask
-        return e, math.sqrt(float(np.sum(r * r)))
+        return e, math.sqrt(float(np.sum(np.multiply(r, r, out=work))))
 
     x, _, rnorm = _least_squares(
-        x0, evaluate, lambda x, e, r: _normal_equations(k, p, x, e, r, used.size),
-        vals.shape, _MAX_ITER * 10, "2D Gaussian fit",
+        x0, evaluate, lambda x, e, er: _normal_equations(k, p, x, e, er[1], used.size, work),
+        (2, *vals.shape), _MAX_ITER * 10, "2D Gaussian fit",
     )
     amplitude, center_k, center_p, kk, kp, pp, offset = map(float, x)
     try:

@@ -359,17 +359,18 @@ def read_framestack(path) -> FrameStack:
         metadata = read_key_values(meta_path)
     except FileNotFoundError:  # the header holds the geometry; the sidecar only the counting model
         metadata = {}
+    # the counting model's keys go to the detector alone, so a rewrite lists each once
     try:
         det = DetectorConfig(
             pixel_pitch=pitch,
             width=width,
             height=height,
-            mean_pair_rate=float(metadata.get("mean_pair_rate", 0.0)),
-            dark_count_prob=float(metadata.get("dark_count_prob", 0.0)),
+            mean_pair_rate=float(metadata.pop("mean_pair_rate", 0.0)),
+            dark_count_prob=float(metadata.pop("dark_count_prob", 0.0)),
             clip_to_binary=binary,
             seed=seed,
-            keep_unsplit=bool(int(metadata.get("keep_unsplit", 1))),
-            stream=int(metadata.get("stream", 0)),
+            keep_unsplit=bool(int(metadata.pop("keep_unsplit", 1))),
+            stream=int(metadata.pop("stream", 0)),
         )
     except ValueError as exc:
         raise DomainError(f"{meta_path}: {exc}") from None

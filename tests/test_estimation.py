@@ -49,6 +49,34 @@ def whole_stack_values(stack):
     return values
 
 
+def assert_profiles_match_brute_force(stack):
+    """Both profiles of a single-arm stack against a brute-force pair histogram.
+
+    The histogram counts the same-frame ordered pairs of distinct photons
+    minus n/(n-1) times the pairs between each frame and the next, binned by
+    x_j - x_i and by i + j.
+    """
+    ck, _ = stack_columns(stack)
+    n, width = ck.shape
+    photons = [np.repeat(np.arange(width), row) for row in ck]
+    diff = np.zeros(2 * width - 1)
+    total = np.zeros(2 * width - 1)
+    for t in range(n):
+        for a, i in enumerate(photons[t]):
+            for b, j in enumerate(photons[t]):
+                if a != b:
+                    diff[j - i + width - 1] += 1.0
+                    total[i + j] += 1.0
+            if t + 1 < n:
+                for j in photons[t + 1]:
+                    diff[j - i + width - 1] -= n / (n - 1.0)
+                    total[i + j] -= n / (n - 1.0)
+    _, acorr = autocorrelation_profile(stack)
+    _, aconv = autoconvolution_profile(stack)
+    assert np.max(np.abs(acorr - diff)) < 1e-9 * np.abs(diff).max()
+    assert np.max(np.abs(aconv - total)) < 1e-9 * np.abs(total).max()
+
+
 class TestEstimateDensity:
     def test_needs_two_frames(self, paper_dg):
         stack = synthesize_frames(paper_quad(paper_dg), DetectorConfig(18.0, 64, seed=1), 1)
@@ -286,30 +314,29 @@ class TestWidthCalibration:
 
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
     def test_profiles_match_brute_force_pair_histogram(self):
-        # same-frame ordered pairs of distinct photons minus n/(n-1) times the
-        # pairs between each frame and the next, binned by x_j - x_i and i + j
         det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=False, seed=28)
         stack = synthesize_nearfield(DGParams(60.0, 40.0), det, 200)
-        ck, _ = stack_columns(stack)
-        n, width = ck.shape
-        photons = [np.repeat(np.arange(width), row) for row in ck]
-        diff = np.zeros(2 * width - 1)
-        total = np.zeros(2 * width - 1)
-        for t in range(n):
-            for a, i in enumerate(photons[t]):
-                for b, j in enumerate(photons[t]):
-                    if a != b:
-                        diff[j - i + width - 1] += 1.0
-                        total[i + j] += 1.0
-                if t + 1 < n:
-                    for j in photons[t + 1]:
-                        diff[j - i + width - 1] -= n / (n - 1.0)
-                        total[i + j] -= n / (n - 1.0)
-        assert ck.max() > 1  # unclipped counts exercise the self-pair rule
-        _, acorr = autocorrelation_profile(stack)
-        _, aconv = autoconvolution_profile(stack)
-        assert np.max(np.abs(acorr - diff)) < 1e-9 * np.abs(diff).max()
-        assert np.max(np.abs(aconv - total)) < 1e-9 * np.abs(total).max()
+        assert stack_columns(stack)[0].max() > 1  # unclipped counts exercise the self-pair rule
+        assert_profiles_match_brute_force(stack)
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("clip", [True, False], ids=["clipped", "unclipped"])
+    def test_profiles_match_brute_force_across_blocks(self, monkeypatch, clip):
+        # blocks of 7 frames: 0-6 and 14-20 photon-counting, 7-13 all ones
+        # (the dense kernel), 21-23 a short last one; frames 6, 13 and 20 hold
+        # counts, so every boundary carries a frame into the next block
+        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        det = DetectorConfig(8.0, 24, mean_pair_rate=0.5, dark_count_prob=0.02, clip_to_binary=clip, seed=30)
+        stack = synthesize_nearfield(DGParams(60.0, 40.0), det, 24)
+        stack.counts[7:14] = 1
+        stack.counts[[6, 20], 0, 0, [4, 17]] = 1 if clip else 3
+        assert stack_columns(stack)[0].max() == (1 if clip else 3)
+        sparse_calls = []
+        pair_sum = estimation._pair_sum
+        monkeypatch.setattr(estimation, "_pair_sum", lambda *a: sparse_calls.append(a) or pair_sum(*a))
+        assert_profiles_match_brute_force(stack)
+        # two sums (same frame, next frame) of blocks 0, 2 and 3, for each profile
+        assert len(sparse_calls) == 12
 
     def test_autocorrelation_profile_peak_and_symmetry(self, paper_dg):
         det = DetectorConfig(3.25, 256, mean_pair_rate=2.0, seed=25)

@@ -320,12 +320,25 @@ class TestFileFormat:
         assert loaded.arm_p is None
         assert np.array_equal(loaded.arm_k, stack.arm_k)
 
+    def test_rewrite_keeps_the_sidecar(self, paper_dg, tmp_path):
+        # the detector's sidecar keys are read into the detector alone, not
+        # left in the metadata as well, so a rewrite lists each of them once
+        det = quiet_detector(pixel_pitch=3.25, width=128, mean_pair_rate=1.0, dark_count_prob=0.001, stream=5)
+        write_framestack(synthesize_nearfield(paper_dg, det, 10), tmp_path / "a.ppf")
+        loaded = read_framestack(tmp_path / "a.ppf")
+        assert loaded.detector == det
+        write_framestack(loaded, tmp_path / "b.ppf")
+        first = (tmp_path / "a.ppf.meta").read_text()
+        assert (tmp_path / "b.ppf.meta").read_text() == first
+        keys = [line.partition("=")[0] for line in first.splitlines()]
+        assert len(keys) == len(set(keys))
+
     @pytest.mark.parametrize("clip, bound", [(True, 0.15), (False, 0.05)])
     def test_write_makes_no_stack_copy(self, tmp_path, clip, bound):
         # bit packing allocates an eighth of the stack; writing allocates nothing more
         cfg = RunConfig(clip_binary=int(clip))
         quad = pl.quad_for(cfg, 1.0)
-        stack = synthesize_frames(quad, pl._detector_for(cfg, quad, cfg.seed), 4000)
+        stack = synthesize_frames(quad, pl._detector_for(cfg, quad, 1), 4000)
         tracemalloc.start()
         try:
             write_framestack(stack, tmp_path / "stack.ppf")
