@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .denoise import CleaningConfig
 from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX
-from .states import DomainError
+from .states import DGParams, DomainError, sigma_minus_from_crystal
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
 
@@ -97,6 +97,13 @@ class RunConfig:
                 raise DomainError(f"{key} must be at most {limit}, the PPF1 header's limit, got {getattr(self, key)}")
         if not (0.0 <= self.pixel_pitch_um < math.inf):
             raise DomainError(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {self.pixel_pitch_um!r}")
+        for key in ("crystal_length_um", "pump_waist_um"):
+            if not (0.0 <= getattr(self, key) < math.inf):
+                raise DomainError(f"{key} must be 0 (not given) or positive and finite, got {getattr(self, key)!r}")
+        for key in ("pump_wavelength_um", "pump_index"):
+            if not (0.0 < getattr(self, key) < math.inf):
+                raise DomainError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
+        DGParams(self.sigma_plus, self.sigma_minus)  # refuses bad source widths
         # every density is arm_width_px square
         self.cleaning().check_image((self.arm_width_px, self.arm_width_px))
 
@@ -113,8 +120,6 @@ class RunConfig:
     @property
     def sigma_minus(self) -> float:
         if self.crystal_length_um > 0.0:
-            from .states import sigma_minus_from_crystal
-
             return sigma_minus_from_crystal(
                 self.crystal_length_um, self.pump_wavelength_um, self.pump_index
             )

@@ -5,12 +5,14 @@ shaped like the product of the photon marginals, riding on shot noise.  Plain
 subtraction of that marginal image (the excess-correlation map) removes its
 mean but not its structure, so the cleaning pipeline works spectrally instead:
 wavelet-decompose the density, measure the marginal image's spatial-frequency
-bandwidth on its approximation band, high-pass the density's approximation
-above that bandwidth, reconstruct, then low-pass and smooth.  The marginal
-image is the outer product of the two marginals, so its approximation band is
-the outer product of their 1D bands and is never built in 2D; each wavelet
-level is one orthogonal matrix (see :mod:`purephase.wavelets`).  Defaults
-were tuned once on synthetic stacks and are frozen in :class:`CleaningConfig`.
+bandwidth, high-pass the density's approximation above that bandwidth,
+reconstruct, then low-pass and smooth.  Every column of a periodized lowpass
+half sums to 1/sqrt(2), so the row and column sums of the density's own
+approximation band are the marginals' bands up to a scale, and their outer
+product is the marginal image's band; the cutoff does not depend on scale, so
+the marginal image is never decomposed.  Each wavelet level is one orthogonal
+matrix (see :mod:`purephase.wavelets`).  Defaults were tuned once on
+synthetic stacks and are frozen in :class:`CleaningConfig`.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .density import Density2D
 from .states import DomainError
-from .wavelets import approximation_1d, check_divisible, daubechies_filters, wavedec2, waverec2
+from .wavelets import check_divisible, daubechies_filters, wavedec2, waverec2
 
 __all__ = ["CleaningConfig", "marginal_image", "excess_g2", "clean_density", "psd_cutoff"]
 
@@ -57,11 +59,10 @@ class CleaningConfig:
 
 def marginal_image(density: Density2D) -> Density2D:
     """Outer product of the two axis sums, normalised like the input."""
-    marg_k, marg_p = density.marginals()
     total = density.values.sum()
     if total == 0.0:
         raise DomainError("cannot form the marginal image of an all-zero density")
-    values = np.outer(marg_k, marg_p) / total
+    values = np.outer(density.values.sum(axis=1), density.values.sum(axis=0)) / total
     return replace(density, values=values)
 
 
@@ -98,30 +99,7 @@ def psd_cutoff(image: np.ndarray, power_fraction: float) -> float:
     return float(radius[order][1:][idx])
 
 
-def _highpass_above(image: np.ndarray, cutoff: float) -> np.ndarray:
-    """Remove the structured band up to the cutoff, keeping the mean.
-
-    The surviving pedestal is deliberate: it is absorbed by the offset term of
-    the downstream Gaussian fits, and removing it would dig negative moats
-    around the signal that the final clamp turns into a fresh low-frequency
-    artefact on every re-application.
-    """
-    r = _radial_freq(image.shape)
-    mask = r > cutoff
-    mask[0, 0] = True
-    return np.fft.ifft2(np.fft.fft2(image) * mask).real
-
-
-def _tapered_lowpass(image: np.ndarray, cutoff: float, bandwidth_px: float) -> np.ndarray:
-    """Low-pass with a Gaussian roll-off of the given real-space width.
-
-    Flat inside the pass band, so repeated application only touches the
-    roll-off region; this keeps the cleaning close to idempotent while still
-    smoothing at the kernel-density bandwidth.
-    """
-    r = _radial_freq(image.shape)
-    taper_q = 1.0 / (2.0 * math.pi * bandwidth_px)
-    window = np.where(r <= cutoff, 1.0, np.exp(-0.5 * ((r - cutoff) / taper_q) ** 2))
+def _filtered(image: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(image) * window).real
 
 
@@ -129,20 +107,31 @@ def clean_density(density: Density2D, config: CleaningConfig) -> Density2D:
     """Appendix-style spectral cleaning; output is non-negative and renormalised.
 
     Steps: wavelet-decompose the density; take the structured bandwidth of the
-    marginal image's approximation band, the outer product of the marginals'
-    1D bands (the cutoff does not depend on the image's scale); remove that
-    band from the density's approximation; reconstruct with the original
-    detail bands; apply the smoothing low-pass; clamp and normalise like the
-    input.
+    marginal image's approximation band, the outer product of the row and
+    column sums of the density's approximation band (the cutoff does not
+    depend on the image's scale); remove that band from the density's
+    approximation; reconstruct with the original detail bands; apply the
+    smoothing low-pass; clamp and normalise like the input.
     """
     config.check_image(density.values.shape)
-    bands = (approximation_1d(m, config.wavelet_order, config.decomp_level) for m in density.marginals())
-    cutoff = psd_cutoff(np.outer(*bands), config.psd_threshold)
     coeffs_m = wavedec2(density.values, config.wavelet_order, config.decomp_level)
-    coeffs_m[0] = _highpass_above(coeffs_m[0], cutoff)
+    approx = coeffs_m[0]
+    cutoff = psd_cutoff(np.outer(approx.sum(axis=1), approx.sum(axis=0)), config.psd_threshold)
+    # the surviving pedestal is deliberate: it is absorbed by the offset term
+    # of the downstream Gaussian fits, and removing it would dig negative moats
+    # around the signal that the final clamp turns into a fresh low-frequency
+    # artefact on every re-application
+    highpass = _radial_freq(approx.shape) > cutoff
+    highpass[0, 0] = True
+    coeffs_m[0] = _filtered(approx, highpass)
     rebuilt = waverec2(coeffs_m, config.wavelet_order)
-    rebuilt = _tapered_lowpass(rebuilt, config.lowpass_cutoff, config.kde_bandwidth)
-    rebuilt = np.clip(rebuilt, 0.0, None)
+    # flat inside the pass band, so repeated application only touches the
+    # Gaussian roll-off (kde_bandwidth wide in real space); this keeps the
+    # cleaning close to idempotent
+    r, cut = _radial_freq(rebuilt.shape), config.lowpass_cutoff
+    taper_q = 1.0 / (2.0 * math.pi * config.kde_bandwidth)
+    lowpass = np.where(r <= cut, 1.0, np.exp(-0.5 * ((r - cut) / taper_q) ** 2))
+    rebuilt = np.clip(_filtered(rebuilt, lowpass), 0.0, None)
     cleaned = replace(density, values=rebuilt, normalized=False)
     if density.normalized:
         cleaned = cleaned.self_normalized()

@@ -55,10 +55,6 @@ class Density2D:
             raise DomainError("density sum must be positive to self-normalise")
         return replace(self, values=self.values / total, normalized=True)
 
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sums over the opposite axis: (profile over x_k, profile over x_p)."""
-        return self.values.sum(axis=1), self.values.sum(axis=0)
-
 
 _AXIS_KEYS = ("k_origin", "k_pitch", "p_origin", "p_pitch")
 

@@ -6,8 +6,10 @@ of the Daubechies half-band polynomial, keeping the minimum-phase roots; order
 p gives the classic 2p-tap filter with p vanishing moments.  Boundaries are
 periodic, so one level on an axis of n (even) samples is one cached orthogonal
 (n, n) matrix, lowpass rows over highpass rows.  A 2D level is
-``m0 @ x @ m1.T`` and its inverse the transposed product, exact to rounding;
-a 1D approximation band applies the lowpass half alone.
+``m0 @ x @ m1.T`` and its inverse the transposed product, exact to rounding.
+Every column of a lowpass half sums to 1/sqrt(2), wrapped taps included, so
+the row and column sums of an approximation band are 2^(-level/2) times the
+approximation bands of the image's row and column sums.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .states import DomainError
 
-__all__ = ["daubechies_filters", "check_divisible", "wavedec2", "waverec2", "approximation_1d"]
+__all__ = ["daubechies_filters", "check_divisible", "wavedec2", "waverec2"]
 
 
 @lru_cache(maxsize=None)
@@ -95,11 +97,3 @@ def waverec2(coeffs, order: int) -> np.ndarray:
         m0, m1 = (_level(2 * size, order) for size in approx.shape)
         approx = m0.T @ np.block([[approx, lh], [hl, hh]]) @ m1
     return approx
-
-
-def approximation_1d(v: np.ndarray, order: int, level: int) -> np.ndarray:
-    """Approximation band of a 1D signal: the lowpass half applied ``level`` times."""
-    check_divisible(v.shape, level)
-    for _ in range(level):
-        v = _level(v.size, order)[: v.size // 2] @ v
-    return v

@@ -68,15 +68,17 @@ def injected_background_density(
     return injected, background, tilt_angle(quad)
 
 
-def marginal_cutoffs(density) -> tuple[list[float], float]:
+def marginal_cutoffs(density, config=None) -> tuple[list[float], float]:
     """(cutoffs clean_density chose, the cutoff of the marginal image's 2D approximation band).
 
-    Cleaning builds that band from the marginals' 1D bands; decomposing the
-    marginal image itself must give exactly the same cutoff.
+    Cleaning takes that band from the row and column sums of the density's own
+    approximation band; decomposing the marginal image itself must give
+    exactly the same cutoff.  ``config`` defaults to ``CleaningConfig()``.
     """
     import purephase.denoise as dn
     from purephase.wavelets import wavedec2
 
+    config = config or dn.CleaningConfig()
     psd_cutoff, chosen = dn.psd_cutoff, []
 
     def spy(image, fraction):
@@ -85,5 +87,6 @@ def marginal_cutoffs(density) -> tuple[list[float], float]:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dn, "psd_cutoff", spy)
-        dn.clean_density(density, dn.CleaningConfig())
-    return chosen, psd_cutoff(wavedec2(dn.marginal_image(density).values, 4, 2)[0], 0.3)
+        dn.clean_density(density, config)
+    band = wavedec2(dn.marginal_image(density).values, config.wavelet_order, config.decomp_level)[0]
+    return chosen, psd_cutoff(band, config.psd_threshold)

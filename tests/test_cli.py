@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,20 @@ SMOKE = dict(
     calib_width_px=256,
     mean_pair_rate=4.0,
 )
+
+
+# (key, bad value, the one line that refuses it when the config loads)
+SOURCE_REFUSALS = [
+    ("crystal_length_um", math.nan, "crystal_length_um must be 0 (not given) or positive and finite, got nan"),
+    ("crystal_length_um", -1000.0, "crystal_length_um must be 0 (not given) or positive and finite, got -1000.0"),
+    ("pump_waist_um", -900.0, "pump_waist_um must be 0 (not given) or positive and finite, got -900.0"),
+    ("pump_waist_um", math.inf, "pump_waist_um must be 0 (not given) or positive and finite, got inf"),
+    ("pump_wavelength_um", 0.0, "pump_wavelength_um must be positive and finite, got 0.0"),
+    ("pump_index", math.nan, "pump_index must be positive and finite, got nan"),
+    ("sigma_plus_um", math.nan, "sigma_plus must be positive and finite, got nan"),
+    ("sigma_minus_um", -13.0, "sigma_minus must be positive and finite, got -13.0"),
+]
+SOURCE_IDS = [f"{key}={value}" for key, value, _ in SOURCE_REFUSALS]
 
 
 class TestConfig:
@@ -73,6 +88,13 @@ class TestConfig:
             RunConfig(magnifications=(0.0,))
         with pytest.raises(DomainError):
             RunConfig(mode="3d")
+
+    @pytest.mark.parametrize("key, value, message", SOURCE_REFUSALS, ids=SOURCE_IDS)
+    def test_source_values_checked(self, key, value, message):
+        # nan > 0 is False, so a nan crystal length once fell back to sigma_minus_um unseen
+        with pytest.raises(DomainError) as info:
+            RunConfig(**{key: value})
+        assert str(info.value) == message
 
     def test_hash_tracks_content(self):
         a = RunConfig()
@@ -556,6 +578,12 @@ class TestCliErrors:
     def test_bad_pixel_pitch(self, tmp_path, capsys, verb, pitch):
         err = self.refused_before_output(tmp_path, capsys, [verb], f"pixel_pitch_um={pitch}")
         assert err.endswith(f"pixel_pitch_um must be 0 (auto) or positive and finite, got {float(pitch)!r}")
+
+    @pytest.mark.parametrize("verb", ["predict", "calibrate"])
+    @pytest.mark.parametrize("key, value, message", SOURCE_REFUSALS, ids=SOURCE_IDS)
+    def test_source_values_checked_when_config_loads(self, tmp_path, capsys, verb, key, value, message):
+        err = self.refused_before_output(tmp_path, capsys, [verb], f"{key}={value}")
+        assert err == f"purephase {verb}: error: {message}"
 
     @pytest.mark.parametrize("verb", ["sweep", "simulate"])
     @pytest.mark.parametrize("key, message", [

@@ -150,6 +150,12 @@ class TestCleanDensity:
         chosen, two_d = marginal_cutoffs(injected)
         assert chosen == [two_d]
 
+    @pytest.mark.parametrize("order, level", [(1, 2), (10, 2), (4, 1), (4, 3)])
+    def test_cutoff_matches_2d_route_at_other_settings(self, order, level):
+        injected, _, _ = injected_background_density(mag=2.5, frames=3000, rate=12.0, dark=0.02, beta=8.0, seed=101)
+        chosen, two_d = marginal_cutoffs(injected, CleaningConfig(wavelet_order=order, decomp_level=level))
+        assert chosen == [two_d]
+
     def test_small_image_rejected(self):
         dens = Density2D(np.ones((16, 16)), 0.0, 1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
