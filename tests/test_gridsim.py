@@ -195,6 +195,13 @@ class TestFresnelOracle:
         with pytest.raises(DomainError, match="grid extent"):
             fft_fresnel(g, 5e6, BOTH)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_distance_refused(self, z):
+        state = dg_state(DGParams(60.0, 15.0), WAVELENGTH)
+        g = discretize(state, auto_grid_spec(state))
+        with pytest.raises(DomainError, match=f"distance must be finite, got z = {z} um"):
+            fft_fresnel(g, z, BOTH)
+
     @pytest.mark.parametrize("target", [PHOTON_1, PHOTON_2])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_single_photon_target(self, seed, target):
@@ -272,6 +279,98 @@ class TestPartialFourierOracle:
         g = grid_pft(discretize(state, auto_grid_spec(state)), PHOTON_1)
         assert g.conditional_std(1) == pytest.approx(math.sqrt(pp.amp_coeff), rel=1e-3)
         assert g.marginal_std(1) == pytest.approx(marginal_momentum_width(pp), rel=1e-3)
+
+    def test_odd_axis_refused(self):
+        # with 255 rows the (-1)^i trick leaves q1 off-centre by half a bin
+        state = dg_state(DGParams(40.0, 10.0), WAVELENGTH)
+        g = discretize(state, auto_grid_spec(state))
+        odd = dataclasses.replace(g, amplitudes=g.amplitudes[:255])
+        for target in (PHOTON_1, BOTH):
+            with pytest.raises(DomainError, match="even axis 1, got 255 points"):
+                grid_pft(odd, target)
+        # the untouched axis may be odd
+        assert grid_pft(odd, PHOTON_2).amplitudes.shape == (255, g.amplitudes.shape[1])
+        with pytest.raises(DomainError, match="even axis 2, got 255 points"):
+            grid_pft(dataclasses.replace(g, amplitudes=g.amplitudes[:, :255]), PHOTON_2)
+
+
+TARGETS = (PHOTON_1, PHOTON_2, BOTH)
+
+
+def count_ffts(monkeypatch):
+    """Count the calls to np.fft.fft from here on."""
+    calls = []
+    fft = np.fft.fft
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("axis"))
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return calls
+
+
+class TestSpectrumHandOver:
+    """fft_fresnel keeps the axis-0 spectrum of its result; grid_pft turns it
+    into its result with no FFT, and every other state takes the FFT route."""
+
+    @staticmethod
+    def propagate(target):
+        params = DGParams(50.0, 12.0)
+        state = dg_state(params, WAVELENGTH)
+        g = discretize(state, auto_grid_spec(state, extent_sigmas=16.0, max_n=512))
+        return fft_fresnel(g, 0.7 * phase_plane_distance(params, WAVELENGTH), target)
+
+    @staticmethod
+    def assert_same_state(a, b):
+        scale = np.abs(b.amplitudes).max()
+        assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-13 * scale
+        assert (a.dx1, a.dx2, a.x1_0, a.x2_0) == (b.dx1, b.dx2, b.x1_0, b.x2_0)
+
+    @pytest.mark.parametrize("pft_target", TARGETS)
+    @pytest.mark.parametrize("fresnel_target", TARGETS)
+    def test_matches_fft_route(self, monkeypatch, fresnel_target, pft_target):
+        propagated = self.propagate(fresnel_target)
+        kept = gridsim._SPECTRUM in propagated.__dict__
+        assert kept == (fresnel_target != PHOTON_2)
+        fresh = dataclasses.replace(propagated)
+        assert gridsim._SPECTRUM not in fresh.__dict__
+        calls = count_ffts(monkeypatch)
+        reference = grid_pft(fresh, pft_target)
+        assert calls == list(gridsim._target_axes(pft_target))
+        calls.clear()
+        handed = grid_pft(propagated, pft_target)
+        taken = kept and pft_target != PHOTON_2
+        assert calls == [axis for axis in gridsim._target_axes(pft_target) if not (taken and axis == 0)]
+        assert (gridsim._SPECTRUM in propagated.__dict__) == (kept and not taken)
+        self.assert_same_state(handed, reference)
+
+    def test_replaced_state_takes_fft_route(self, monkeypatch):
+        propagated = self.propagate(BOTH)
+        replaced = dataclasses.replace(propagated, amplitudes=propagated.amplitudes.copy())
+        calls = count_ffts(monkeypatch)
+        out = grid_pft(replaced, PHOTON_1)
+        assert calls == [0]
+        assert gridsim._SPECTRUM in propagated.__dict__
+        self.assert_same_state(out, grid_pft(propagated, PHOTON_1))
+
+    def test_second_transform_gives_same_result(self):
+        propagated = self.propagate(BOTH)
+        first = grid_pft(propagated, PHOTON_1)
+        assert gridsim._SPECTRUM not in propagated.__dict__
+        self.assert_same_state(grid_pft(propagated, PHOTON_1), first)
+
+    @pytest.mark.parametrize("pft_target", TARGETS)
+    @pytest.mark.parametrize("fresnel_target", [None, PHOTON_1, BOTH])
+    def test_input_amplitudes_unchanged(self, fresnel_target, pft_target):
+        if fresnel_target is None:
+            state = dg_state(DGParams(50.0, 12.0), WAVELENGTH)
+            g = discretize(state, auto_grid_spec(state, max_n=512))
+        else:
+            g = self.propagate(fresnel_target)
+        before = g.amplitudes.tobytes()
+        grid_pft(g, pft_target)
+        assert g.amplitudes.tobytes() == before
 
 
 class TestGridFedorov:
