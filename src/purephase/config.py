@@ -100,9 +100,17 @@ class RunConfig:
         for key in ("crystal_length_um", "pump_waist_um"):
             if not (0.0 <= getattr(self, key) < math.inf):
                 raise DomainError(f"{key} must be 0 (not given) or positive and finite, got {getattr(self, key)!r}")
-        for key in ("pump_wavelength_um", "pump_index"):
+        lengths = ("wavelength_um", "f_um", "f2_um", "f3_um", "fm_um", "near_pitch_um", "far_pitch_um")
+        for key in ("pump_wavelength_um", "pump_index", *lengths):
             if not (0.0 < getattr(self, key) < math.inf):
                 raise DomainError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
+        for key in ("mean_pair_rate", "calib_rate"):
+            if not (0.0 <= getattr(self, key) < math.inf):
+                raise DomainError(f"{key} must be non-negative and finite, got {getattr(self, key)!r}")
+        if not (0.0 <= self.dark_count_prob <= 1.0):
+            raise DomainError(f"dark_count_prob must be a probability in [0, 1], got {self.dark_count_prob!r}")
+        if self.calib_width_px < 2:
+            raise DomainError(f"calib_width_px must be at least 2, got {self.calib_width_px}")
         DGParams(self.sigma_plus, self.sigma_minus)  # refuses bad source widths
         # every density is arm_width_px square
         self.cleaning().check_image((self.arm_width_px, self.arm_width_px))

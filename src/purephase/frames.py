@@ -21,8 +21,7 @@ binomial number of cells sampled without replacement.  Stacks are
 bit-identical regardless of evaluation order, and a stack is a prefix of
 any longer stack with the same key.  Stacks under distinct keys share no
 frame at any length, so the pipeline gives each of its stacks its own
-stream and no longer caps stacks at 2^24 frames (the stride its seeds used
-to be spaced by): a stack holds as many frames as PPF1 stores.
+stream, and a stack holds as many frames as PPF1 stores.
 """
 from __future__ import annotations
 

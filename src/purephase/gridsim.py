@@ -71,8 +71,7 @@ class GridSpec:
                 raise DomainError(f"{name} must be positive")
 
     def axis(self, which: int) -> np.ndarray:
-        n = self.n1 if which == 1 else self.n2
-        dx = self.dx1 if which == 1 else self.dx2
+        n, dx = (self.n1, self.dx1) if which == 1 else (self.n2, self.dx2)
         return (np.arange(n) - n // 2) * dx
 
 
@@ -106,9 +105,15 @@ class GridState:
 
     @cached_property
     def _power_sums(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(row sums, column sums, total) of |psi|^2: one pass over the grid."""
-        rows, cols = _power_marginals(self.amplitudes)
-        return rows, cols, float(rows.sum())
+        """(photon 1's, photon 2's) marginal sums of |psi|^2 and the total: one pass over the grid."""
+        p = _power(self.amplitudes)
+        rows = p.sum(axis=1)
+        return rows, p.sum(axis=0), float(rows.sum())
+
+    def _axes(self, which: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(grid axis, coordinates, other's coordinates) of particle ``which``; photon 2 sees the grid transposed."""
+        axes = (self.x1_axis, self.x2_axis)
+        return which - 1, axes[which - 1], axes[2 - which]
 
     def norm(self) -> float:
         return self._power_sums[2] * self.dx1 * self.dx2
@@ -123,23 +128,18 @@ class GridState:
 
     def marginal(self, which: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """(axis, density) of one particle's marginal distribution."""
-        rows, cols, total = self._power_sums
-        if which == 1:
-            return self.x1_axis, rows / (total * self.dx1)
-        return self.x2_axis, cols / (total * self.dx2)
+        own, x, _ = self._axes(which)
+        sums = self._power_sums
+        return x, sums[own] / (sums[2] * (self.dx1, self.dx2)[own])
 
     def marginal_std(self, which: int = 1) -> float:
         return _weighted_std(*self.marginal(which))
 
     def conditional_slice(self, which: int = 1, at: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Density profile of one particle with the other fixed at the nearest column."""
-        if which == 1:
-            idx = int(np.argmin(np.abs(self.x2_axis - at)))
-            x, amp = self.x1_axis, self.amplitudes[:, idx]
-        else:
-            idx = int(np.argmin(np.abs(self.x1_axis - at)))
-            x, amp = self.x2_axis, self.amplitudes[idx, :]
-        return x, _power(amp) / self.norm()
+        """Density profile of one particle with the other fixed at the nearest grid line."""
+        own, x, other = self._axes(which)
+        idx = int(np.argmin(np.abs(other - at)))
+        return x, _power(np.moveaxis(self.amplitudes, own, 0)[:, idx]) / self.norm()
 
     def conditional_std(self, which: int = 1, at: float = 0.0) -> float:
         x, p = self.conditional_slice(which, at)
@@ -151,15 +151,13 @@ class GridState:
         return self.marginal_std(1) / self.conditional_std(1, 0.0)
 
     def conditional_mean_profile(self, which: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-column mean of the ``which`` coordinate, with column weights.
+        """Mean of the ``which`` coordinate at each value of the other, with those values' weights.
 
         Used to regress the conditional-mean slope against the closed form.
         """
-        d = self.density()
-        if which == 1:
-            y, moments, weights = self.x2_axis, self.x1_axis @ d, d.sum(axis=0)
-        else:
-            y, moments, weights = self.x1_axis, d @ self.x2_axis, d.sum(axis=1)
+        own, x, y = self._axes(which)
+        d = np.moveaxis(self.density(), own, 0)
+        moments, weights = x @ d, d.sum(axis=0)
         means = np.where(weights > 0, moments / np.maximum(weights, 1e-300), 0.0)
         return y, means, weights
 
@@ -169,12 +167,6 @@ def _power(amp: np.ndarray) -> np.ndarray:
     p = np.abs(amp)
     p *= p
     return p
-
-
-def _power_marginals(amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of |amp|^2."""
-    p = _power(amp)
-    return p.sum(axis=1), p.sum(axis=0)
 
 
 def _weighted_std(x: np.ndarray, w: np.ndarray) -> float:
@@ -189,31 +181,29 @@ def _weighted_std(x: np.ndarray, w: np.ndarray) -> float:
 
 def _sampling_requirements(state: GaussianBiphotonState, spec: GridSpec):
     """Check extent, pitch and phase-sampling adequacy; raise listing required n."""
-    marg = [state.marginal_position_std(1), state.marginal_position_std(2)]
-    cond = [state.conditional_position_std(1), state.conditional_position_std(2)]
+    im_diag = [abs(state.m11.imag), abs(state.m22.imag)]
+    half = [spec.n1 * spec.dx1 / 2.0, spec.n2 * spec.dx2 / 2.0]
     for axis, (n, dx) in enumerate(((spec.n1, spec.dx1), (spec.n2, spec.dx2))):
         extent = n * dx
-        if extent < 8.0 * marg[axis]:
-            need = 2 ** math.ceil(math.log2(8.0 * marg[axis] / dx))
+        marg, cond = state.marginal_position_std(axis + 1), state.conditional_position_std(axis + 1)
+        if extent < 8.0 * marg:
+            need = 2 ** math.ceil(math.log2(8.0 * marg / dx))
             raise DomainError(
                 f"grid axis {axis + 1} extent {extent:.3g} um < 8 marginal sigma "
-                f"({8 * marg[axis]:.3g} um); need n >= {need} at this pitch"
+                f"({8 * marg:.3g} um); need n >= {need} at this pitch"
             )
-        if dx > cond[axis] / 8.0:
+        if dx > cond / 8.0:
             raise DomainError(
                 f"grid axis {axis + 1} pitch {dx:.3g} um exceeds sigma_min/8 = "
-                f"{cond[axis] / 8.0:.3g} um"
+                f"{cond / 8.0:.3g} um"
             )
-    # local phase gradient at the grid corner must stay below Nyquist
-    half1 = spec.n1 * spec.dx1 / 2.0
-    half2 = spec.n2 * spec.dx2 / 2.0
-    k1 = 2.0 * (abs(state.m11.imag) * half1 + abs(state.m12.imag) * half2)
-    k2 = 2.0 * (abs(state.m22.imag) * half2 + abs(state.m12.imag) * half1)
-    if k1 * spec.dx1 > math.pi or k2 * spec.dx2 > math.pi:
-        raise DomainError(
-            "grid pitch cannot resolve the quadratic phase at the grid edge "
-            f"(needs dx1 <= {math.pi / max(k1, 1e-300):.3g}, dx2 <= {math.pi / max(k2, 1e-300):.3g})"
-        )
+        # local phase gradient at the grid corner must stay below Nyquist
+        kmax = 2.0 * (im_diag[axis] * half[axis] + abs(state.m12.imag) * half[1 - axis])
+        if kmax * dx > math.pi:
+            raise DomainError(
+                f"grid axis {axis + 1} pitch {dx:.3g} um cannot resolve the quadratic phase "
+                f"at the grid edge; needs pitch <= {math.pi / kmax:.3g} um"
+            )
 
 
 def auto_grid_spec(

@@ -42,6 +42,26 @@ SOURCE_REFUSALS = [
 ]
 SOURCE_IDS = [f"{key}={value}" for key, value, _ in SOURCE_REFUSALS]
 
+# (key, bad value, the one line that refuses it when the config loads): rates, lengths and the calibration width
+SETTING_REFUSALS = [
+    ("mean_pair_rate", math.nan, "mean_pair_rate must be non-negative and finite, got nan"),
+    ("mean_pair_rate", -1.0, "mean_pair_rate must be non-negative and finite, got -1.0"),
+    ("calib_rate", math.nan, "calib_rate must be non-negative and finite, got nan"),
+    ("calib_rate", math.inf, "calib_rate must be non-negative and finite, got inf"),
+    ("calib_rate", -1.0, "calib_rate must be non-negative and finite, got -1.0"),
+    ("dark_count_prob", 2.0, "dark_count_prob must be a probability in [0, 1], got 2.0"),
+    ("dark_count_prob", -1e-4, "dark_count_prob must be a probability in [0, 1], got -0.0001"),
+    ("calib_width_px", 1, "calib_width_px must be at least 2, got 1"),
+    ("near_pitch_um", -3.0, "near_pitch_um must be positive and finite, got -3.0"),
+    ("far_pitch_um", 0.0, "far_pitch_um must be positive and finite, got 0.0"),
+    ("f_um", -5.0, "f_um must be positive and finite, got -5.0"),
+    ("f2_um", math.nan, "f2_um must be positive and finite, got nan"),
+    ("f3_um", math.inf, "f3_um must be positive and finite, got inf"),
+    ("fm_um", 0.0, "fm_um must be positive and finite, got 0.0"),
+    ("wavelength_um", -0.81, "wavelength_um must be positive and finite, got -0.81"),
+]
+SETTING_IDS = [f"{key}={value}" for key, value, _ in SETTING_REFUSALS]
+
 
 class TestConfig:
     def test_defaults_match_reference_experiment(self):
@@ -95,6 +115,31 @@ class TestConfig:
         with pytest.raises(DomainError) as info:
             RunConfig(**{key: value})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("key, value, message", SETTING_REFUSALS, ids=SETTING_IDS)
+    def test_settings_checked(self, key, value, message):
+        with pytest.raises(DomainError) as info:
+            RunConfig(**{key: value})
+        assert str(info.value) == message
+
+    def test_2d_mode_needs_two_rows(self):
+        with pytest.raises(DomainError) as info:
+            RunConfig(mode="2d", arm_height_px=1)
+        assert str(info.value) == "2d mode needs arm_height_px >= 2"
+        assert RunConfig(mode="1d", arm_height_px=1).arm_height_px == 1
+
+    def test_frame_counts_at_least_two(self):
+        for key in ("frames", "calib_frames"):
+            with pytest.raises(DomainError) as info:
+                RunConfig(**{key: 1})
+            assert str(info.value) == "frame counts must be at least 2"
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=7\nframes 300\n")
+        with pytest.raises(DomainError) as info:
+            parse_config_file(path)
+        assert str(info.value) == f"{path}:2: expected key=value, got 'frames 300'"
 
     def test_hash_tracks_content(self):
         a = RunConfig()
@@ -506,7 +551,6 @@ class TestCliErrors:
     @pytest.mark.parametrize("verb, line, message", [
         ("simulate", "mean_pair_rate=nan", "mean_pair_rate must be non-negative and finite, got nan"),
         ("simulate", "dark_count_prob=nan", "dark_count_prob must be a probability in [0, 1], got nan"),
-        ("calibrate", "calib_rate=nan", "mean_pair_rate must be non-negative and finite, got nan"),
     ])
     def test_non_finite_rates(self, tmp_path, capsys, verb, line, message):
         assert self.refused_before_output(tmp_path, capsys, [verb], line).endswith(message)
@@ -582,6 +626,13 @@ class TestCliErrors:
     @pytest.mark.parametrize("verb", ["predict", "calibrate"])
     @pytest.mark.parametrize("key, value, message", SOURCE_REFUSALS, ids=SOURCE_IDS)
     def test_source_values_checked_when_config_loads(self, tmp_path, capsys, verb, key, value, message):
+        err = self.refused_before_output(tmp_path, capsys, [verb], f"{key}={value}")
+        assert err == f"purephase {verb}: error: {message}"
+
+    @pytest.mark.parametrize("verb", ["predict", "calibrate"])
+    @pytest.mark.parametrize("key, value, message", SETTING_REFUSALS, ids=SETTING_IDS)
+    def test_settings_checked_when_config_loads(self, tmp_path, capsys, verb, key, value, message):
+        # predict draws no frames and calibrate builds no preparation layout, yet both refuse every key at load
         err = self.refused_before_output(tmp_path, capsys, [verb], f"{key}={value}")
         assert err == f"purephase {verb}: error: {message}"
 

@@ -363,6 +363,16 @@ class TestFileFormat:
         with pytest.raises(DomainError, match="PPF1"):
             read_framestack(path)
 
+    def test_other_version_rejected(self, paper_dg, tmp_path):
+        path = tmp_path / "stack.ppf"
+        write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(), 10), path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = (2).to_bytes(2, "little")  # the header's uint16 version follows the magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(DomainError) as refused:
+            read_framestack(path)
+        assert str(refused.value) == "unsupported PPF1 version 2"
+
     def test_truncated_rejected(self, paper_dg, tmp_path):
         quad = paper_quad(paper_dg)
         stack = synthesize_frames(quad, quiet_detector(), 10)

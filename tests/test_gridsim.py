@@ -60,6 +60,13 @@ class TestGridSpec:
         assert spec.axis(1)[4] == 0.0
         assert spec.axis(1)[0] == -8.0
 
+    def test_auto_spec_refuses_beyond_max_n(self):
+        state = dg_state(DGParams(286.0, 13.0), WAVELENGTH)
+        assert auto_grid_spec(state).n1 == 2048
+        with pytest.raises(DomainError) as refused:
+            auto_grid_spec(state, max_n=1024)
+        assert str(refused.value) == "state needs n=2048 > max_n=1024 grid points per axis"
+
 
 class TestDiscretize:
     def test_norm_and_marginals(self):
@@ -135,6 +142,17 @@ class TestDiscretize:
             discretize(state, GridSpec(64, 64, 2.0, 2.0))
         with pytest.raises(DomainError, match="pitch"):
             discretize(state, GridSpec(1024, 1024, 10.0, 10.0))
+
+    def test_unresolved_phase_names_its_axis(self):
+        # propagating photon 2 alone curves the phase most along axis 2
+        params = DGParams(100.0, 13.0)
+        state = apply_element(dg_state(params, WAVELENGTH), Fresnel(phase_plane_distance(params, WAVELENGTH), PHOTON_2))
+        discretize(state, GridSpec(512, 512, 2.0, 2.0))
+        with pytest.raises(DomainError) as refused:
+            discretize(state, GridSpec(512, 512, 2.0, 3.5))
+        assert str(refused.value) == (
+            "grid axis 2 pitch 3.5 um cannot resolve the quadratic phase at the grid edge; needs pitch <= 3.13 um"
+        )
 
     def test_grid_does_not_depend_on_blas_thread_count(self):
         # a BLAS dot product splits its sum across threads and adds the parts in
