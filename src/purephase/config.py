@@ -86,6 +86,8 @@ class RunConfig:
             raise DomainError("magnification list must not be empty")
         if not all(m != 0.0 and math.isfinite(m) for m in self.magnifications):
             raise DomainError(f"magnifications must be nonzero and finite, got {self.magnifications}")
+        if not all(0.0 < m * m < math.inf for m in self.magnifications):
+            raise DomainError(f"magnifications must have a nonzero, finite square, got {self.magnifications}")
         if len({mag_tag(m) for m in self.magnifications}) < len(self.magnifications):
             raise DomainError(f"magnifications {self.magnifications} repeat an artifact tag (2 decimals)")
         if not -(2**63) <= self.seed < 2**63:
@@ -109,6 +111,9 @@ class RunConfig:
                 raise DomainError(f"{key} must be non-negative and finite, got {getattr(self, key)!r}")
         if not (0.0 <= self.dark_count_prob <= 1.0):
             raise DomainError(f"dark_count_prob must be a probability in [0, 1], got {self.dark_count_prob!r}")
+        for key in ("clip_binary", "keep_unsplit"):
+            if getattr(self, key) not in (0, 1):
+                raise DomainError(f"{key} must be 0 or 1, got {getattr(self, key)!r}")
         if self.calib_width_px < 2:
             raise DomainError(f"calib_width_px must be at least 2, got {self.calib_width_px}")
         DGParams(self.sigma_plus, self.sigma_minus)  # refuses bad source widths

@@ -7,15 +7,16 @@ frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
 Every estimate comes from one pass over blocks of B frames that bins the
 same-frame and next-frame count products of pixel pairs (x_k, x_p) by a cell
 map: x_k*W + x_p for the W x W density, the lag x_p - x_k and the sum
-x_k + x_p for the width-calibration profiles.  A sparse block, with at most
-0.8*B*W such pairs of nonzero pixels (photon-counting frames of up to about
-sqrt(0.4*W) counts), bins its pair list with one np.bincount per sum; any
-other block bins the product of its dense columns.  Every partial sum is an
-exact integer in float64, so both kernels give the same bytes.  Memory is
-O(B*W) plus the bins: W^2 for the density, 2W - 1 for a profile (a dense
-block still forms its W x W product).  A Gaussian fit of a profile's central
-peak gives a width: sigma_- from the near-field autocorrelation, sigma_+ from
-the far-field autoconvolution.
+x_k + x_p for the width-calibration profiles.  A block's nonzero pixels, its
+events, come from one np.flatnonzero over its counts, frame by frame.  A
+sparse block, with at most 0.8*B*W such pairs of events (photon-counting
+frames of up to about sqrt(0.4*W) counts), bins its pair list with one
+np.bincount per sum; any other block bins the product of its dense columns.
+Every partial sum is an exact integer in float64, so both kernels give the
+same bytes.  Memory is O(B*W) plus the bins: W^2 for the density, 2W - 1 for
+a profile (a dense block still forms its W x W product).  A Gaussian fit of a
+profile's central peak gives a width: sigma_- from the near-field
+autocorrelation, sigma_+ from the far-field autoconvolution.
 """
 from __future__ import annotations
 
@@ -47,17 +48,6 @@ _BLOCK_FRAMES = 1024
 # above 1.8 at 512 px split; below 0.8 it is faster on all four.  Any share <= 1
 # also keeps the pair list within the O(B*W) memory of the dense columns.
 _PAIR_LIST_SHARE = 0.8
-
-
-def _nonzero_bytes(flat: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero entries of a contiguous 1D uint8 array, scanned eight bytes at a time."""
-    if flat.size % 8:
-        return np.flatnonzero(flat != 0)
-    words = flat.view(np.uint64)
-    # np.flatnonzero is about 3x faster on a boolean mask than on the integers
-    hit = np.flatnonzero(words != 0)
-    sub = np.flatnonzero(words[hit].view(np.uint8) != 0)
-    return hit[sub >> 3] * 8 + (sub & 7)
 
 
 def _pair_sum(x, weight, k_events, frames, starts, sizes, cell, n_bins) -> np.ndarray:
@@ -92,7 +82,7 @@ def _binned_pair_sums(stack: FrameStack, cell, n_bins: int) -> tuple[np.ndarray,
         block = stack.counts[start - lead : start + _BLOCK_FRAMES]
         b = block.shape[0]
         flat = block.reshape(-1)
-        idx = _nonzero_bytes(flat)  # frame-major, arm k before arm p
+        idx = np.flatnonzero(flat != 0)  # frame-major, arm k before arm p
         weight = flat[idx].astype(np.float64)
         x = idx % width
         frame, arm = np.divmod(idx // (height * width), arms)

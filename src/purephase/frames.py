@@ -179,14 +179,13 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
     pair land on the single arm.  Block b (frames 256b..256b+255) draws from
     Philox(key=[seed mod 2^64, stream]) at counter [0, 0, b, 0], in this
     order: the block's 256 pair counts, every pair's x (and y, 2d) normals,
-    then for split stacks one raw 64-bit word per pair for the routes (bits
-    31 and 63, which is what ``integers(0, 2, size=(n, 2))`` returns from the
-    same words) and the marginal normals, then with dark counts a binomial
-    number of dark cells and the cells themselves, sampled without
-    replacement.  Every block is drawn whole and the last one keeps only the
-    frames asked for, so a stack is a prefix of any longer stack with the
-    same key.  Split stacks add their pair and split totals over the kept
-    frames to the metadata.
+    then for split stacks the routes, ``integers(0, 2, size=(n, 2))``, which
+    takes one 64-bit word per pair (bit 31 routes photon k and bit 63 photon
+    p), and the marginal normals, then with dark counts a binomial number of
+    dark cells and the cells themselves, sampled without replacement.  Every
+    block is drawn whole and the last one keeps only the frames asked for, so
+    a stack is a prefix of any longer stack with the same key.  Split stacks
+    add their pair and split totals over the kept frames to the metadata.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -216,9 +215,7 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
         n_pairs_total += int(pairs[:kept].sum())
         arm = np.broadcast_to(np.arange(arms), coords.shape[1:])
         if split:
-            raw = bitgen.random_raw(n)
-            # int64 like integers(): uint64 routes would turn the arm index into float64
-            routes = np.stack([(raw >> 31) & 1, raw >> 63], axis=1).astype(np.int64)
+            routes = rng.integers(0, 2, size=(n, 2))
             together = routes[:, :1] == routes[:, 1:]
             n_split_total += int(np.count_nonzero(keep & ~together))
             arm = np.where(together, routes[:, :1], arm)

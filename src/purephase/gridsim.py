@@ -32,10 +32,11 @@ A Fresnel propagation treats one axis at a time, axis 1 first: an FFT, the
 transfer factor and an inverse FFT, in place on the result's own buffer.  An
 FFT along axis 0 strides across rows and costs about three times one along
 axis 1, so axis 0's pair runs on a transposed copy, made a block of rows at a
-time.  The chirped axis-0 spectrum is then the axis-0 FFT of the result, and
-the result keeps it.  A partial Fourier transform of photon 1 needs the DFT of
-(-1)^i psi, which is that spectrum shifted by half the axis, so it takes the
-spectrum over and runs no FFT of its own.
+time.  The chirped axis-0 spectrum is then the axis-0 FFT of the result.  A
+partial Fourier transform of photon 1 needs the DFT of (-1)^i psi, which for
+an even axis is that FFT shifted by half the axis.  So the blocked copy of the
+spectrum back out of the transposed buffer writes it shifted, the result keeps
+it, and the partial transform takes it over and runs no FFT of its own.
 """
 from __future__ import annotations
 
@@ -291,16 +292,22 @@ def _along(vector: np.ndarray, axis: int) -> np.ndarray:
 # rows per copy in a blocked transpose: on a 2048^2 complex grid, 32-64 rows
 # (1-2 MB) copy fastest, and 128 or more take twice as long
 _BLOCK_ROWS = 64
-# key, in a propagated state's __dict__, of the axis-0 spectrum of its amplitudes
+# key, in a propagated state's __dict__, of the half-shifted axis-0 spectrum of its amplitudes
 _SPECTRUM = "_axis0_spectrum"
 
 
-def _transpose(src: np.ndarray, dest: np.ndarray | None = None) -> np.ndarray:
-    """src.T as a C-contiguous complex array, copied a block of rows at a time."""
+def _transpose(src: np.ndarray, dest: np.ndarray | None = None, shift: int = 0) -> np.ndarray:
+    """src.T as a C-contiguous complex array, copied a block of rows at a time.
+
+    Row i of the result is column (i + shift) mod n of src.
+    """
     if dest is None:
         dest = np.empty(src.shape[::-1], dtype=complex)
+    n = src.shape[1]
     for row in range(0, src.shape[0], _BLOCK_ROWS):
-        dest[:, row : row + _BLOCK_ROWS] = src[row : row + _BLOCK_ROWS].T
+        block = src[row : row + _BLOCK_ROWS].T
+        dest[: n - shift, row : row + _BLOCK_ROWS] = block[shift:]
+        dest[n - shift :, row : row + _BLOCK_ROWS] = block[:shift]
     return dest
 
 
@@ -308,7 +315,8 @@ def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
     """Fresnel-propagate along the targeted axis (or both) by distance z (um).
 
     When axis 0 is targeted, the result keeps the axis-0 spectrum of its
-    amplitudes for ``grid_pft`` (see the module docstring).
+    amplitudes, shifted by half the axis, for ``grid_pft`` (see the module
+    docstring).
 
     The propagated field must stay inside the grid: its measured marginal
     width on each targeted axis has to fit within a quarter of the grid extent
@@ -337,7 +345,8 @@ def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
         rows = _transpose(amp)
         np.fft.fft(rows, axis=1, out=rows)
         rows *= transfer(0)
-        spectrum = _transpose(rows)
+        # grid_pft's DFT of (-1)^i psi: psi's DFT shifted by half the axis (used only when even)
+        spectrum = _transpose(rows, shift=rows.shape[1] // 2)
         np.fft.ifft(rows, axis=1, out=rows)
         amp = _transpose(rows, amp if amp is not g.amplitudes else None)
         del rows  # before the support check squares the grid
@@ -352,16 +361,6 @@ def fft_fresnel(g: GridState, z: float, target: str = "both") -> GridState:
                 f"{width:.3g} um; grid extent {extent:.3g} um < 8 sigma"
             )
     return out
-
-
-def _swap_halves(a: np.ndarray) -> None:
-    """Swap the two halves of axis 0 in place, one row at a time."""
-    half = a.shape[0] // 2
-    row = np.empty_like(a[0])
-    for i in range(half):
-        row[...] = a[i]
-        a[i] = a[half + i]
-        a[half + i] = row
 
 
 def grid_pft(g: GridState, target: str = "photon1") -> GridState:
@@ -383,9 +382,7 @@ def grid_pft(g: GridState, target: str = "photon1") -> GridState:
     for axis in axes:
         n = amp.shape[axis]
         if axis == 0 and handed is not None:
-            # the DFT of (-1)^i psi is psi's DFT shifted by half the axis (n is even)
             spec = handed
-            _swap_halves(spec)
         else:
             # (-1)^j on the input yields the DFT already fftshifted (n is even)
             sign = _along((-1.0) ** np.arange(n), axis)

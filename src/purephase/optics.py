@@ -318,20 +318,25 @@ def measurement_quadratic(
     already divided by the preparation magnification squared).  imaging_mag is
     the signed single-lens magnification of the position arm, a scalar or an
     array of them; a scalar gives float coefficients.  For an array kp and pp
-    are arrays over it; kk does not depend on the magnification.
+    are arrays over it; kk does not depend on the magnification.  A
+    magnification whose coefficients are not finite (0, or one whose square
+    underflows or overflows) is refused.
     """
     if not (fourier_focal > 0.0):
         raise DomainError(f"fourier_focal must be positive, got {fourier_focal!r}")
-    if np.ndim(imaging_mag):
-        imaging_mag = np.asarray(imaging_mag, dtype=float)
-    if np.any(imaging_mag == 0.0):
-        raise DomainError("imaging_mag must be nonzero")
+    # numpy, unlike float, gives inf rather than raising; a scalar stays a scalar
+    imaging_mag = np.float64(imaging_mag)
     a, b = scaled.amp_coeff, scaled.cross_coeff
     lam_f = wavelength * fourier_focal
     kk = 2.0 * math.pi**2 / (lam_f * lam_f * a)
-    kp = math.pi * b / (lam_f * imaging_mag * a)
-    pp = 2.0 * a / imaging_mag**2 + b * b / (2.0 * imaging_mag**2 * a)
-    return GaussianForm(kk, kp, pp)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kp = math.pi * b / (lam_f * imaging_mag * a)
+        pp = 2.0 * a / imaging_mag**2 + b * b / (2.0 * imaging_mag**2 * a)
+    finite = np.isfinite(kp) & np.isfinite(pp)
+    if not finite.all():
+        bad = np.extract(~finite, imaging_mag)[0]
+        raise DomainError(f"imaging_mag {float(bad)!r} gives non-finite density coefficients")
+    return GaussianForm(kk, _float_if_scalar(kp), _float_if_scalar(pp))
 
 
 def _float_if_scalar(x):

@@ -23,6 +23,14 @@ def stack_columns(stack) -> tuple[np.ndarray, np.ndarray]:
     return ck, cp
 
 
+def paper_quad(mag=-0.5):
+    """The pipeline's split-measurement form of the reference experiment at imaging magnification ``mag``."""
+    import purephase.pipeline as pl
+    from purephase.config import RunConfig
+
+    return pl.quad_for(RunConfig(), mag)
+
+
 @pytest.fixture(scope="session")
 def paper_dg() -> DGParams:
     return DGParams(SIGMA_PLUS, SIGMA_MINUS)

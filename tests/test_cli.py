@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ SOURCE_REFUSALS = [
 ]
 SOURCE_IDS = [f"{key}={value}" for key, value, _ in SOURCE_REFUSALS]
 
-# (key, bad value, the one line that refuses it when the config loads): rates, lengths and the calibration width
+# (key, bad value, the one line that refuses it when the config loads): rates, lengths, the calibration width and the 0/1 flags
 SETTING_REFUSALS = [
     ("mean_pair_rate", math.nan, "mean_pair_rate must be non-negative and finite, got nan"),
     ("mean_pair_rate", -1.0, "mean_pair_rate must be non-negative and finite, got -1.0"),
@@ -59,6 +60,11 @@ SETTING_REFUSALS = [
     ("f3_um", math.inf, "f3_um must be positive and finite, got inf"),
     ("fm_um", 0.0, "fm_um must be positive and finite, got 0.0"),
     ("wavelength_um", -0.81, "wavelength_um must be positive and finite, got -0.81"),
+    # any other flag value once wrote the default run's PPF1 bytes under another config hash
+    ("clip_binary", 7, "clip_binary must be 0 or 1, got 7"),
+    ("clip_binary", -1, "clip_binary must be 0 or 1, got -1"),
+    ("keep_unsplit", -3, "keep_unsplit must be 0 or 1, got -3"),
+    ("keep_unsplit", 2, "keep_unsplit must be 0 or 1, got 2"),
 ]
 SETTING_IDS = [f"{key}={value}" for key, value, _ in SETTING_REFUSALS]
 
@@ -121,6 +127,17 @@ class TestConfig:
         with pytest.raises(DomainError) as info:
             RunConfig(**{key: value})
         assert str(info.value) == message
+
+    def test_flag_values_keep_their_hash(self):
+        # each of the flags' four settings hashes as it always has
+        hashes = {
+            (1, 1): "b6cbcea9fce9",
+            (0, 1): "3dcba5fae3c2",
+            (1, 0): "9a85c2dc9a30",
+            (0, 0): "747e83e1c6cb",
+        }
+        for (clip, keep), digest in hashes.items():
+            assert RunConfig(clip_binary=clip, keep_unsplit=keep).config_hash() == digest
 
     def test_2d_mode_needs_two_rows(self):
         with pytest.raises(DomainError) as info:
@@ -543,6 +560,19 @@ class TestCliErrors:
         err = self.refused_before_output(tmp_path, capsys, ["sweep"], f"magnifications=1.0,{mag}")
         assert err.endswith(f"magnifications must be nonzero and finite, got (1.0, {float(mag)!r})")
 
+    @pytest.mark.parametrize("verb", ["simulate", "sweep", "predict"])
+    @pytest.mark.parametrize("mag, message", [
+        ("1e-300", "magnifications must have a nonzero, finite square, got (1e-300, 1.0, 2.0)"),
+        ("1e-160", "imaging_mag 1e-160 gives non-finite density coefficients"),
+        ("1e200", "magnifications must have a nonzero, finite square, got (1e+200, 1.0, 2.0)"),
+    ])
+    def test_extreme_magnification(self, tmp_path, capsys, verb, mag, message):
+        # once a ZeroDivisionError or OverflowError traceback, or RuntimeWarnings ahead of the refusal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self.refused_before_output(tmp_path, capsys, [verb], f"magnifications={mag},1.0,2.0")
+        assert err == f"purephase {verb}: error: {message}"
+
     def test_sweep_needs_three_magnifications(self, tmp_path, capsys):
         # refused before any stage runs, not by the magnification fit after every stage wrote
         err = self.refused_before_output(tmp_path, capsys, ["sweep"], "magnifications=1.0,2.0")
@@ -629,10 +659,11 @@ class TestCliErrors:
         err = self.refused_before_output(tmp_path, capsys, [verb], f"{key}={value}")
         assert err == f"purephase {verb}: error: {message}"
 
-    @pytest.mark.parametrize("verb", ["predict", "calibrate"])
+    @pytest.mark.parametrize("verb", ["predict", "calibrate", "simulate"])
     @pytest.mark.parametrize("key, value, message", SETTING_REFUSALS, ids=SETTING_IDS)
     def test_settings_checked_when_config_loads(self, tmp_path, capsys, verb, key, value, message):
-        # predict draws no frames and calibrate builds no preparation layout, yet both refuse every key at load
+        # predict draws no frames, calibrate builds no preparation layout and simulate
+        # reads no calibration setting, yet each refuses every key at load
         err = self.refused_before_output(tmp_path, capsys, [verb], f"{key}={value}")
         assert err == f"purephase {verb}: error: {message}"
 

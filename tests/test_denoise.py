@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,19 +7,11 @@ pytestmark = pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarni
 
 from purephase.denoise import CleaningConfig, clean_density, excess_g2, marginal_image, psd_cutoff
 from purephase.density import Density2D
-from purephase.estimation import estimate_density
 from purephase.fitting import FitError, fit_gaussian_2d
-from purephase.frames import DetectorConfig, synthesize_frames
-from purephase.optics import PrepDesign, measurement_quadratic, tilt_angle
-from purephase.states import DomainError, phase_plane_distance, pure_phase_params
+from purephase.optics import tilt_angle
+from purephase.states import DomainError
 from purephase.wavelets import wavedec2
-from conftest import WAVELENGTH, injected_background_density, marginal_cutoffs
-
-
-def paper_quad(paper_dg, mag):
-    design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
-    scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
-    return measurement_quadratic(scaled, 15e4, mag, WAVELENGTH)
+from conftest import injected_background_density, marginal_cutoffs, paper_quad
 
 
 def rasterized(quad, pitch, width=256):
@@ -44,8 +35,8 @@ class TestMarginalImage:
         marg = marginal_image(dens)
         assert np.allclose(marg.values, dens.values, rtol=1e-12)
 
-    def test_total_mass_preserved(self, paper_dg):
-        dens = rasterized(paper_quad(paper_dg, -0.5), 14.0)
+    def test_total_mass_preserved(self):
+        dens = rasterized(paper_quad(-0.5), 14.0)
         assert marginal_image(dens).values.sum() == pytest.approx(dens.values.sum(), rel=1e-12)
 
     def test_captures_injected_background(self, paper_dg):
@@ -63,12 +54,12 @@ class TestExcessG2:
         excess = excess_g2(dens)
         assert np.abs(excess.values).max() < 1e-12 * dens.values.max()
 
-    def test_sums_to_zero(self, paper_dg):
-        dens = rasterized(paper_quad(paper_dg, -0.75), 14.0)
+    def test_sums_to_zero(self):
+        dens = rasterized(paper_quad(-0.75), 14.0)
         assert excess_g2(dens).values.sum() == pytest.approx(0.0, abs=1e-12)
 
-    def test_clean_input_keeps_tilt(self, paper_dg):
-        quad = paper_quad(paper_dg, -0.5)
+    def test_clean_input_keeps_tilt(self):
+        quad = paper_quad(-0.5)
         dens = rasterized(quad, 14.0)
         fit = fit_gaussian_2d(excess_g2(dens))
         assert fit.theta_deg == pytest.approx(tilt_angle(quad), abs=1.0)
@@ -92,8 +83,8 @@ class TestCleaningConfig:
 
 
 class TestCleanDensity:
-    def test_nearly_lossless_on_clean_data(self, paper_dg):
-        quad = paper_quad(paper_dg, -0.5)
+    def test_nearly_lossless_on_clean_data(self):
+        quad = paper_quad(-0.5)
         dens = rasterized(quad, 14.0)
         reference = fit_gaussian_2d(dens).theta_deg
         cleaned = clean_density(dens, CleaningConfig())

@@ -17,15 +17,9 @@ from purephase.estimation import (
 )
 from purephase.fitting import FitError, fit_gaussian_2d
 from purephase.frames import DetectorConfig, FrameStack, synthesize_farfield, synthesize_frames, synthesize_joint, synthesize_nearfield
-from purephase.optics import PrepDesign, measurement_quadratic, prepare_p3, tilt_angle
-from purephase.states import DGParams, DomainError, dg_state, fedorov_ratio, phase_plane_distance, pure_phase_params
-from conftest import WAVELENGTH, stack_columns
-
-
-def paper_quad(paper_dg, mag=-0.5):
-    design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
-    scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
-    return measurement_quadratic(scaled, 15e4, mag, WAVELENGTH)
+from purephase.optics import PrepDesign, prepare_p3, tilt_angle
+from purephase.states import DGParams, DomainError, dg_state, fedorov_ratio, phase_plane_distance
+from conftest import WAVELENGTH, paper_quad, stack_columns
 
 
 def sigma_minus_of(stack):
@@ -78,8 +72,8 @@ def assert_profiles_match_brute_force(stack):
 
 
 class TestEstimateDensity:
-    def test_needs_two_frames(self, paper_dg):
-        stack = synthesize_frames(paper_quad(paper_dg), DetectorConfig(18.0, 64, seed=1), 1)
+    def test_needs_two_frames(self):
+        stack = synthesize_frames(paper_quad(), DetectorConfig(18.0, 64, seed=1), 1)
         with pytest.raises(DomainError):
             estimate_density(stack)
 
@@ -104,16 +98,16 @@ class TestEstimateDensity:
         # sparse edge cells are Poisson atoms of size 1/n, not Gaussian
         assert np.all(np.abs(dens.values) < 5.0 * sigma + 2.0 / n)
 
-    def test_recovers_tilt(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_recovers_tilt(self):
+        quad = paper_quad()
         det = DetectorConfig(18.0, 256, mean_pair_rate=4.0, dark_count_prob=1e-4, seed=5)
         stack = synthesize_frames(quad, det, 20000)
         dens = estimate_density(stack)
         fit = fit_gaussian_2d(dens)
         assert fit.theta_deg == pytest.approx(tilt_angle(quad), abs=5.0)
 
-    def test_noise_drops_with_frame_count(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_noise_drops_with_frame_count(self):
+        quad = paper_quad()
 
         def offridge_rms(n_frames, seed):
             det = DetectorConfig(18.0, 128, mean_pair_rate=4.0, seed=seed)
@@ -130,9 +124,9 @@ class TestEstimateDensity:
         large = np.mean([offridge_rms(8000, s) for s in seeds])
         assert small / large == pytest.approx(math.sqrt(2.0), rel=0.25)
 
-    def test_shifted_product_matches_full_mean_product(self, paper_dg):
+    def test_shifted_product_matches_full_mean_product(self):
         # the cheap accidental estimate agrees with the exact per-column means
-        quad = paper_quad(paper_dg)
+        quad = paper_quad()
         det = DetectorConfig(18.0, 128, mean_pair_rate=4.0, seed=6)
         stack = synthesize_frames(quad, det, 8000)
         dens = estimate_density(stack, normalize=False)
@@ -145,13 +139,13 @@ class TestEstimateDensity:
         diff_rms = float(np.sqrt(np.mean((dens.values - exact) ** 2)))
         assert diff_rms < 2.0 * float(np.sqrt(np.mean(noise**2)))
 
-    def test_no_marginal_background_without_unsplit_channel(self, paper_dg):
+    def test_no_marginal_background_without_unsplit_channel(self):
         # coincidence-only frames leave nothing for the excess-correlation
         # correction to remove: the off-ridge estimate is unbiased noise and
         # subtracting the marginal image does not move the fitted tilt
         from purephase.denoise import excess_g2
 
-        quad = paper_quad(paper_dg)
+        quad = paper_quad()
         det = DetectorConfig(
             18.0, 128, mean_pair_rate=4.0, seed=61, keep_unsplit=False, dark_count_prob=0.0
         )
@@ -166,8 +160,8 @@ class TestEstimateDensity:
         corrected = fit_gaussian_2d(excess_g2(dens))
         assert corrected.theta_deg == pytest.approx(plain.theta_deg, abs=1.0)
 
-    def test_frame_relabeling_changes_only_noise(self, paper_dg, rng):
-        quad = paper_quad(paper_dg)
+    def test_frame_relabeling_changes_only_noise(self, rng):
+        quad = paper_quad()
         det = DetectorConfig(18.0, 128, mean_pair_rate=4.0, seed=62)
         stack = synthesize_frames(quad, det, 10000)
         base = estimate_density(stack)
@@ -201,13 +195,13 @@ class TestStreamedSums:
     @pytest.mark.parametrize("split", [True, False])
     @pytest.mark.parametrize("clip", [True, False])
     @pytest.mark.parametrize("height", [1, 4])
-    def test_blocks_match_whole_stack(self, paper_dg, monkeypatch, n_frames, kernel_switch, split, clip, height):
+    def test_blocks_match_whole_stack(self, monkeypatch, n_frames, kernel_switch, split, clip, height):
         monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
         dark = 0.0 if clip or kernel_switch else 0.02
         rate = 0.5 if kernel_switch else 1.5  # keeps every photon-counting block sparse
         det = DetectorConfig(8.0, 24, height, mean_pair_rate=rate, dark_count_prob=dark, clip_to_binary=clip, seed=29)
         if split:
-            stack = synthesize_frames(paper_quad(paper_dg), dataclasses.replace(det, pixel_pitch=100.0), n_frames)
+            stack = synthesize_frames(paper_quad(), dataclasses.replace(det, pixel_pitch=100.0), n_frames)
         else:
             stack = synthesize_nearfield(DGParams(60.0, 40.0), det, n_frames)
         # fixed counts in the first and last frames: a short stack may draw none
@@ -301,8 +295,8 @@ class TestWidthCalibration:
         with pytest.raises(FitError):
             sigma_minus_of(stack)
 
-    def test_requires_single_arm(self, paper_dg):
-        stack = synthesize_frames(paper_quad(paper_dg), DetectorConfig(18.0, 64, seed=1), 10)
+    def test_requires_single_arm(self):
+        stack = synthesize_frames(paper_quad(), DetectorConfig(18.0, 64, seed=1), 10)
         for profile in (autocorrelation_profile, autoconvolution_profile):
             with pytest.raises(DomainError):
                 profile(stack)

@@ -17,8 +17,8 @@ from purephase.fitting import (
     moment_estimate,
 )
 from purephase.optics import PrepDesign, measurement_quadratic, principal_angle_deg, tilt_angle, tilt_from_form
-from purephase.states import phase_plane_distance, pure_phase_params
-from conftest import WAVELENGTH
+from purephase.states import pure_phase_params
+from conftest import WAVELENGTH, paper_quad
 
 FM = 15e4
 
@@ -33,19 +33,13 @@ def rasterized(quad, pitch=12.0, width=256, noise=0.0, rng=None, offset=0.0):
     return Density2D(vals, float(centers[0]), pitch, float(centers[0]), pitch)
 
 
-def paper_quad(paper_dg, mag):
-    design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
-    scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
-    return measurement_quadratic(scaled, FM, mag, WAVELENGTH)
-
-
 def auto_pitch(quad):
     cov = quad.covariance
     return max(math.sqrt(max(cov[0, 0], cov[1, 1])) * 9.0 / 256.0, 1.0)
 
 
-def reference_density(paper_dg, rng):
-    return rasterized(paper_quad(paper_dg, -0.5), pitch=14.0, noise=0.003, rng=rng)
+def reference_density(rng):
+    return rasterized(paper_quad(-0.5), pitch=14.0, noise=0.003, rng=rng)
 
 
 def explicit_jacobian(coords, amplitude, ck, cp, kk, kp, pp, offset):
@@ -164,15 +158,15 @@ class TestFit1DContract:
 
 
 class TestFit2D:
-    def test_noiseless_reference_tilt(self, paper_dg):
-        quad = paper_quad(paper_dg, -0.5)
+    def test_noiseless_reference_tilt(self):
+        quad = paper_quad(-0.5)
         fit = fit_gaussian_2d(rasterized(quad, pitch=14.0))
         assert fit.theta_deg == pytest.approx(tilt_angle(quad), abs=0.5)
         assert fit.offset == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("mag", [-3.0, -2.0, -1.0, -0.5, -0.3])
-    def test_coefficient_recovery_across_magnifications(self, paper_dg, mag):
-        quad = paper_quad(paper_dg, mag)
+    def test_coefficient_recovery_across_magnifications(self, mag):
+        quad = paper_quad(mag)
         cov = quad.covariance
         pitch = max(math.sqrt(max(cov[0, 0], cov[1, 1])) * 9.0 / 256.0, 1.0)
         fit = fit_gaussian_2d(rasterized(quad, pitch=pitch))
@@ -180,16 +174,16 @@ class TestFit2D:
         assert fit.kp == pytest.approx(quad.kp, rel=1e-2)
         assert fit.pp == pytest.approx(quad.pp, rel=1e-2)
 
-    def test_moment_initialization_close(self, paper_dg):
-        quad = paper_quad(paper_dg, -0.5)
+    def test_moment_initialization_close(self):
+        quad = paper_quad(-0.5)
         dens = rasterized(quad, pitch=14.0)
         _, _, _, kk, kp, pp = moment_estimate(dens)
         from purephase.optics import tilt_from_form
 
         assert tilt_from_form(kk, kp, pp) == pytest.approx(tilt_angle(quad), abs=3.0)
 
-    def test_intensity_scaling_invariance(self, paper_dg, rng):
-        quad = paper_quad(paper_dg, -0.75)
+    def test_intensity_scaling_invariance(self, rng):
+        quad = paper_quad(-0.75)
         dens = rasterized(quad, pitch=14.0, noise=0.003, rng=rng)
         fit_a = fit_gaussian_2d(dens)
         scaled = Density2D(dens.values * 37.5, dens.k_origin, dens.k_pitch, dens.p_origin, dens.p_pitch)
@@ -214,10 +208,10 @@ class TestFit2D:
         assert 66.0 <= abs(fit.theta_deg) <= 74.0
         assert abs(fit.theta_deg) == pytest.approx(69.2, abs=1.5)
 
-    def test_widths_match_quadratic(self, paper_dg):
+    def test_widths_match_quadratic(self):
         from purephase.optics import principal_widths
 
-        quad = paper_quad(paper_dg, -0.5)
+        quad = paper_quad(-0.5)
         fit = fit_gaussian_2d(rasterized(quad, pitch=14.0))
         major, minor = principal_widths(quad)
         fit_major, fit_minor = fit.widths
@@ -300,8 +294,8 @@ class TestFit2DContract:
         "mag, masked", [(-0.5, False), (-1.0, False), (-2.0, False), (-1.0, True)],
         ids=["-0.5", "-1.0", "-2.0", "-1.0-masked"],
     )
-    def test_matches_curve_fit_reference(self, paper_dg, rng, mag, masked):
-        quad = paper_quad(paper_dg, mag)
+    def test_matches_curve_fit_reference(self, rng, mag, masked):
+        quad = paper_quad(mag)
         dens = rasterized(quad, pitch=auto_pitch(quad), noise=0.003, rng=rng)
         mask = rng.random(dens.values.shape) < 0.8 if masked else None
         fit = fit_gaussian_2d(dens, mask)
@@ -314,12 +308,12 @@ class TestFit2DContract:
         assert fit.theta_deg == pytest.approx(tilt_from_form(*ref[3:6]), abs=1e-4)
         np.testing.assert_allclose([fit.kk, fit.kp, fit.pp], ref[3:6], rtol=1e-5)
 
-    def test_exhausted_budget_raises(self, paper_dg, rng, monkeypatch):
+    def test_exhausted_budget_raises(self, rng, monkeypatch):
         monkeypatch.setattr(fitting, "_MAX_ITER", 1)
         with pytest.raises(FitError, match="^2D Gaussian fit did not converge"):
-            fit_gaussian_2d(reference_density(paper_dg, rng))
+            fit_gaussian_2d(reference_density(rng))
 
-    def test_model_evaluations_without_scipy(self, paper_dg, rng, monkeypatch):
+    def test_model_evaluations_without_scipy(self, rng, monkeypatch):
         calls = []
         model = fitting._gauss2d
 
@@ -333,12 +327,12 @@ class TestFit2DContract:
         monkeypatch.setattr(fitting, "_gauss2d", counted)
         monkeypatch.setattr(optimize, "curve_fit", refuse)
         monkeypatch.setattr(optimize, "least_squares", refuse)
-        fit_gaussian_2d(reference_density(paper_dg, rng))
+        fit_gaussian_2d(reference_density(rng))
         assert 1 <= len(calls) <= 60
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_input_raises(self, paper_dg, rng, bad):
-        dens = reference_density(paper_dg, rng)
+    def test_non_finite_input_raises(self, rng, bad):
+        dens = reference_density(rng)
         dens.values[17, 40] = bad
         with pytest.raises(FitError, match="non-finite"):
             fit_gaussian_2d(dens)

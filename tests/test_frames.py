@@ -19,15 +19,8 @@ from purephase.frames import (
     synthesize_nearfield,
     write_framestack,
 )
-from purephase.optics import PrepDesign, measurement_quadratic
-from purephase.states import DGParams, DomainError, dg_state, phase_plane_distance, pure_phase_params
-from conftest import WAVELENGTH, stack_columns
-
-
-def paper_quad(paper_dg, mag=-0.5):
-    design = PrepDesign(f=10e4, f2=15e4, f3=12.5e4, z_p=phase_plane_distance(paper_dg, WAVELENGTH))
-    scaled = pure_phase_params(paper_dg).rescaled(design.mag_eff)
-    return measurement_quadratic(scaled, 15e4, mag, WAVELENGTH)
+from purephase.states import DGParams, DomainError, dg_state
+from conftest import WAVELENGTH, paper_quad, stack_columns
 
 
 def quiet_detector(**kwargs) -> DetectorConfig:
@@ -69,30 +62,30 @@ class TestDetectorConfig:
         with pytest.raises(DomainError, match="pixel_pitch must be positive and finite"):
             DetectorConfig(pixel_pitch=pitch, width=64)
 
-    def test_seed_must_fit_the_ppf1_header(self, paper_dg, tmp_path):
+    def test_seed_must_fit_the_ppf1_header(self, tmp_path):
         for seed in (2**63, -(2**63) - 1):
             with pytest.raises(DomainError, match=f"signed 64-bit integer, got {seed}"):
                 DetectorConfig(pixel_pitch=18.0, width=64, seed=seed)
         # the ends of the range are written and read back unchanged
         for seed in (-(2**63), 2**63 - 1):
             path = tmp_path / "stack.ppf"
-            write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(seed=seed), 2), path)
+            write_framestack(synthesize_frames(paper_quad(), quiet_detector(seed=seed), 2), path)
             assert read_framestack(path).detector.seed == seed
 
-    def test_stream_is_an_unsigned_64_bit_integer(self, paper_dg, tmp_path):
+    def test_stream_is_an_unsigned_64_bit_integer(self, tmp_path):
         for stream in (-1, 2**64):
             with pytest.raises(DomainError, match=f"unsigned 64-bit integer, got {stream}"):
                 DetectorConfig(pixel_pitch=18.0, width=64, stream=stream)
         # the sidecar records the stream; a stack without one reads as stream 0
         path = tmp_path / "stack.ppf"
         for stream in (0, 2**64 - 1):
-            write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(stream=stream), 2), path)
+            write_framestack(synthesize_frames(paper_quad(), quiet_detector(stream=stream), 2), path)
             assert read_framestack(path).detector.stream == stream
         (tmp_path / "stack.ppf.meta").unlink()
         assert read_framestack(path).detector.stream == 0
 
-    def test_occupancy_warning_and_error(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_occupancy_warning_and_error(self):
+        quad = paper_quad()
         with pytest.warns(OccupancyWarning):
             synthesize_frames(quad, quiet_detector(mean_pair_rate=10.0), 2)
         with pytest.raises(DomainError, match="occupancy"):
@@ -105,12 +98,12 @@ class TestDetectorConfig:
             synthesize_nearfield(DGParams(60.0, 60.0), det, 2)
 
     @pytest.mark.parametrize("kind", ["frames", "joint", "nearfield", "farfield"])
-    def test_occupancy_warning_points_at_caller(self, paper_dg, kind):
+    def test_occupancy_warning_points_at_caller(self, kind):
         params = DGParams(60.0, 60.0)
         near = DetectorConfig(8.0, 512, mean_pair_rate=2.0, seed=1)
         far = DetectorConfig(20.0, 512, mean_pair_rate=4.0, seed=1)
         synthesize = {
-            "frames": lambda: synthesize_frames(paper_quad(paper_dg), quiet_detector(mean_pair_rate=10.0), 2),
+            "frames": lambda: synthesize_frames(paper_quad(), quiet_detector(mean_pair_rate=10.0), 2),
             "joint": lambda: synthesize_joint(dg_state(params, WAVELENGTH), near, 2),
             "nearfield": lambda: synthesize_nearfield(params, near, 2),
             "farfield": lambda: synthesize_farfield(params, far, 2, 15e4, WAVELENGTH),
@@ -121,8 +114,8 @@ class TestDetectorConfig:
 
 
 class TestSynthesizeFrames:
-    def test_zero_rate_dark_only(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_zero_rate_dark_only(self):
+        quad = paper_quad()
         quiet = synthesize_frames(quad, quiet_detector(mean_pair_rate=0.0), 50)
         assert quiet.arm_k.sum() == 0 and quiet.arm_p.sum() == 0
         dark = synthesize_frames(
@@ -132,8 +125,8 @@ class TestSynthesizeFrames:
         expected = 0.05 * 50 * 2 * 256
         assert abs(total - expected) < 5.0 * math.sqrt(expected)
 
-    def test_deterministic_and_schedule_independent(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_deterministic_and_schedule_independent(self):
+        quad = paper_quad()
         det = quiet_detector()
         a = synthesize_frames(quad, det, 40)
         b = synthesize_frames(quad, det, 40)
@@ -143,14 +136,14 @@ class TestSynthesizeFrames:
         assert np.array_equal(prefix.arm_k, a.arm_k[:12])
         assert np.array_equal(prefix.arm_p, a.arm_p[:12])
 
-    def test_seed_changes_output(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_seed_changes_output(self):
+        quad = paper_quad()
         a = synthesize_frames(quad, quiet_detector(seed=1), 20)
         b = synthesize_frames(quad, quiet_detector(seed=2), 20)
         assert not np.array_equal(a.arm_k, b.arm_k)
 
-    def test_split_fraction_and_pair_counts(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_split_fraction_and_pair_counts(self):
+        quad = paper_quad()
         n_frames, rate = 4000, 4.0
         stack = synthesize_frames(quad, quiet_detector(), n_frames)
         n_pairs = stack.metadata["n_pairs_total"]
@@ -160,8 +153,8 @@ class TestSynthesizeFrames:
         assert abs(n_split - 0.5 * n_pairs) < 4.0 * math.sqrt(0.25 * n_pairs)
 
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
-    def test_discarding_unsplit_keeps_only_coincidences(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_discarding_unsplit_keeps_only_coincidences(self):
+        quad = paper_quad()
         det = quiet_detector(keep_unsplit=False, clip_to_binary=False, pixel_pitch=40.0)
         stack = synthesize_frames(quad, det, 1500)
         n_split = stack.metadata["n_split_total"]
@@ -171,8 +164,8 @@ class TestSynthesizeFrames:
         assert stack.arm_p.sum() <= n_split
 
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
-    def test_mean_occupancy_within_poisson_bounds(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_mean_occupancy_within_poisson_bounds(self):
+        quad = paper_quad()
         det = quiet_detector(clip_to_binary=False, pixel_pitch=40.0)
         n_frames = 3000
         stack = synthesize_frames(quad, det, n_frames)
@@ -182,8 +175,8 @@ class TestSynthesizeFrames:
         total = int(stack.arm_k.sum())
         assert abs(total - expected) < 4.0 * math.sqrt(expected)
 
-    def test_two_d_mode_shapes(self, paper_dg):
-        quad = paper_quad(paper_dg)
+    def test_two_d_mode_shapes(self):
+        quad = paper_quad()
         det = quiet_detector(height=32, width=32, pixel_pitch=150.0, mean_pair_rate=1.0)
         stack = synthesize_frames(quad, det, 30)
         assert stack.arm_k.shape == (30, 32, 32)
@@ -221,13 +214,13 @@ class TestSingleArmStacks:
 # builders of the stacks the re-keying is checked on, keyed by case name
 REKEY_CASES = {
     "split_1d_darks": lambda dg, seed, n: synthesize_frames(
-        paper_quad(dg), quiet_detector(seed=seed, dark_count_prob=0.002), n
+        paper_quad(), quiet_detector(seed=seed, dark_count_prob=0.002), n
     ),
     "discard_unsplit": lambda dg, seed, n: synthesize_frames(
-        paper_quad(dg), quiet_detector(seed=seed, keep_unsplit=False), n
+        paper_quad(), quiet_detector(seed=seed, keep_unsplit=False), n
     ),
     "2d": lambda dg, seed, n: synthesize_frames(
-        paper_quad(dg), quiet_detector(seed=seed, height=8, width=64, pixel_pitch=60.0, dark_count_prob=0.002), n
+        paper_quad(), quiet_detector(seed=seed, height=8, width=64, pixel_pitch=60.0, dark_count_prob=0.002), n
     ),
     "nearfield": lambda dg, seed, n: synthesize_nearfield(
         dg, quiet_detector(pixel_pitch=3.25, width=512, mean_pair_rate=2.0, seed=seed, dark_count_prob=0.002), n
@@ -246,13 +239,13 @@ class TestRekeying:
         assert np.array_equal(prefix.counts, stack.counts[:short])
 
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
-    def test_block_layout(self, paper_dg):
+    def test_block_layout(self):
         # block b draws its pair counts first, from Philox(key=[seed mod 2^64, stream]) at
         # counter [0, 0, b, 0]; the arms span +-10 marginal widths, so no photon is lost
         # and every pair leaves two counts in its frame
         seed, stream, rate = -7, 2**64 - 3, 3.0
         det = quiet_detector(seed=seed, stream=stream, mean_pair_rate=rate, clip_to_binary=False, pixel_pitch=40.0)
-        stack = synthesize_frames(paper_quad(paper_dg), det, 300)
+        stack = synthesize_frames(paper_quad(), det, 300)
         key = np.array([seed % 2**64, stream], dtype=np.uint64)
         blocks = [
             np.random.Generator(np.random.Philox(key=key, counter=[0, 0, b, 0])).poisson(rate, size=256)
@@ -263,14 +256,14 @@ class TestRekeying:
         assert stack.metadata["n_pairs_total"] == pairs.sum()
 
     @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
-    def test_neighbouring_seeds_share_no_frame(self, paper_dg):
+    def test_neighbouring_seeds_share_no_frame(self):
         # dense frames (about 20 pairs and 5 dark counts each), so equal frames are no chance;
         # a key of seed XOR frame index would give frame j of s to frame j ^ 1 of s ^ 1
         seed = 12345
         det = quiet_detector(mean_pair_rate=20.0, dark_count_prob=0.01)
         seen = {}
         for s in (seed, seed ^ 1, seed + 1):
-            stack = synthesize_frames(paper_quad(paper_dg), dataclasses.replace(det, seed=s), 300)
+            stack = synthesize_frames(paper_quad(), dataclasses.replace(det, seed=s), 300)
             frames_of = {frame.tobytes() for frame in stack.counts}
             assert len(frames_of) == stack.n_frames
             for other, earlier in seen.items():
@@ -286,7 +279,7 @@ class TestRekeying:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
-        synthesize_frames(paper_quad(paper_dg), quiet_detector(), 300)
+        synthesize_frames(paper_quad(), quiet_detector(), 300)
         assert len(built) <= 1
         built.clear()
         synthesize_nearfield(paper_dg, quiet_detector(pixel_pitch=3.25, width=512, mean_pair_rate=2.0), 300)
@@ -295,8 +288,8 @@ class TestRekeying:
 
 class TestFileFormat:
     @pytest.mark.parametrize("clip", [True, False])
-    def test_round_trip(self, paper_dg, tmp_path, clip):
-        quad = paper_quad(paper_dg)
+    def test_round_trip(self, tmp_path, clip):
+        quad = paper_quad()
         det = quiet_detector(clip_to_binary=clip, dark_count_prob=0.001)
         stack = synthesize_frames(quad, det, 25)
         stack.metadata["note"] = "round-trip"
@@ -363,9 +356,9 @@ class TestFileFormat:
         with pytest.raises(DomainError, match="PPF1"):
             read_framestack(path)
 
-    def test_other_version_rejected(self, paper_dg, tmp_path):
+    def test_other_version_rejected(self, tmp_path):
         path = tmp_path / "stack.ppf"
-        write_framestack(synthesize_frames(paper_quad(paper_dg), quiet_detector(), 10), path)
+        write_framestack(synthesize_frames(paper_quad(), quiet_detector(), 10), path)
         data = bytearray(path.read_bytes())
         data[4:6] = (2).to_bytes(2, "little")  # the header's uint16 version follows the magic
         path.write_bytes(bytes(data))
@@ -373,8 +366,8 @@ class TestFileFormat:
             read_framestack(path)
         assert str(refused.value) == "unsupported PPF1 version 2"
 
-    def test_truncated_rejected(self, paper_dg, tmp_path):
-        quad = paper_quad(paper_dg)
+    def test_truncated_rejected(self, tmp_path):
+        quad = paper_quad()
         stack = synthesize_frames(quad, quiet_detector(), 10)
         path = tmp_path / "stack.ppf"
         write_framestack(stack, path)
@@ -389,16 +382,16 @@ GOLDEN_FRAMES = 200
 # stack builders keyed by case name; every case draws GOLDEN_FRAMES frames
 GOLDEN_CASES = {
     "1d_darks": lambda dg: synthesize_frames(
-        paper_quad(dg), quiet_detector(dark_count_prob=0.002), GOLDEN_FRAMES
+        paper_quad(), quiet_detector(dark_count_prob=0.002), GOLDEN_FRAMES
     ),
     "discard_unsplit": lambda dg: synthesize_frames(
-        paper_quad(dg), quiet_detector(keep_unsplit=False), GOLDEN_FRAMES
+        paper_quad(), quiet_detector(keep_unsplit=False), GOLDEN_FRAMES
     ),
     "unclipped_darks": lambda dg: synthesize_frames(
-        paper_quad(dg), quiet_detector(clip_to_binary=False, dark_count_prob=0.01), GOLDEN_FRAMES
+        paper_quad(), quiet_detector(clip_to_binary=False, dark_count_prob=0.01), GOLDEN_FRAMES
     ),
     "2d": lambda dg: synthesize_frames(
-        paper_quad(dg),
+        paper_quad(),
         quiet_detector(height=16, width=64, pixel_pitch=60.0, dark_count_prob=0.002),
         GOLDEN_FRAMES,
     ),

@@ -290,6 +290,15 @@ class TestMeasurementQuadratic:
         with pytest.raises(DomainError):
             measurement_quadratic(scaled, FM, 0.0, WAVELENGTH)
 
+    @pytest.mark.parametrize("mag", [1e-300, 1e-160])
+    def test_non_finite_coefficients_refused(self, paper_dg, mag):
+        # pp grows as 1/mag^2 and overflows; a float once raised ZeroDivisionError here
+        scaled = pure_phase_params(paper_dg)
+        for imaging_mag in (mag, np.array([-0.5, mag])):
+            with pytest.raises(DomainError) as info:
+                measurement_quadratic(scaled, FM, imaging_mag, WAVELENGTH)
+            assert str(info.value) == f"imaging_mag {mag!r} gives non-finite density coefficients"
+
     def test_state_route_agrees_with_formula_route(self, paper_dg):
         # propagate the prepared state through the measurement arms and compare
         design = paper_design(paper_dg)
