@@ -35,6 +35,14 @@ _PPF1_LIMITS = {
 }
 
 
+# how a value of each declared field type is written into the hash
+_CANONICAL = {
+    "float": lambda v: repr(float(v)),
+    "int": lambda v: str(int(v)),
+    "tuple": lambda v: ",".join(repr(float(m)) for m in v),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # source: either direct widths, or crystal/pump parameters when nonzero
@@ -145,15 +153,20 @@ class RunConfig:
         return self.sigma_plus_um
 
     def canonical_items(self) -> list[tuple[str, str]]:
-        """Sorted (key, value) strings of every field but out_dir, which moves no result."""
+        """Sorted (key, value) strings of every field but out_dir, which moves no result.
+
+        Each value is written in its field's declared type, so 286 and 286.0,
+        or True and 1, hash alike; in 1d mode arm_height_px, which no stage
+        reads there, enters at its default.
+        """
         items = []
         for field in dataclasses.fields(self):
             if field.name == "out_dir":
                 continue
             value = getattr(self, field.name)
-            if isinstance(value, tuple):
-                value = ",".join(repr(float(v)) for v in value)
-            items.append((field.name, str(value)))
+            if field.name == "arm_height_px" and self.mode == "1d":
+                value = field.default
+            items.append((field.name, _CANONICAL.get(field.type, str)(value)))
         return sorted(items)
 
     def config_hash(self) -> str:

@@ -2,8 +2,8 @@
 
 A Density2D holds a non-negative (or, for raw correlation estimates, signed)
 2D array with explicit axis definitions.  Axis 0 is the Fourier-arm camera
-coordinate x_k, axis 1 the imaging-arm coordinate x_p, both in um, unless the
-axis names say otherwise.  Files: the exact artifact is <name>.npy, the
+coordinate x_k, axis 1 the imaging-arm coordinate x_p, both in um and named
+xk and xp in every file.  Files: the exact artifact is <name>.npy, the
 float64 grid as np.save writes it, with a <name>.meta key=value sidecar for
 the axes, the shape and the caller's items; a 16-bit PGM preview
 (deterministic bytes, lossy scaling); and a CSV export with the axes in the
@@ -31,8 +31,6 @@ class Density2D:
     p_origin: float
     p_pitch: float
     normalized: bool = False
-    k_name: str = "xk"
-    p_name: str = "xp"
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -69,7 +67,7 @@ def _shape(values: np.ndarray) -> str:
 
 def _metadata(density: Density2D, meta: dict | None) -> dict:
     """The key=value items both formats write: the density's own, then the caller's ``meta``."""
-    items = {"normalized": int(density.normalized), "k_name": density.k_name, "p_name": density.p_name}
+    items = {"normalized": int(density.normalized), "k_name": "xk", "p_name": "xp"}
     items.update({key: _fmt(getattr(density, key)) for key in _AXIS_KEYS})
     items["shape"] = _shape(density.values)
     if meta:
@@ -89,8 +87,6 @@ def _from_metadata(values: np.ndarray, meta: dict, path) -> Density2D:
             values,
             *(float(meta[key]) for key in _AXIS_KEYS),
             normalized=bool(int(meta.get("normalized", "0"))),
-            k_name=meta.get("k_name", "xk"),
-            p_name=meta.get("p_name", "xp"),
         )
     except ValueError as exc:
         raise DomainError(f"density file {path}: {exc}") from None
@@ -104,8 +100,9 @@ def _meta_path(path) -> str:
 def write_density(density: Density2D, path, meta: dict | None = None) -> None:
     """Write ``path`` (<name>.npy), the exact float64 grid, and its <name>.meta sidecar.
 
-    The sidecar holds ``normalized``, the axis names, the axis origins and
-    pitches (repr, so they read back exactly), the shape, then ``meta``.
+    The sidecar holds ``normalized``, the axis names (xk, xp), the axis
+    origins and pitches (repr, so they read back exactly), the shape, then
+    ``meta``.
     """
     with open(path, "wb") as fh:
         np.save(fh, np.ascontiguousarray(density.values, dtype=np.float64), allow_pickle=False)
@@ -152,7 +149,7 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
     """
     lines = ["# purephase-density v1"]
     lines += [f"# {key}={value}" for key, value in _metadata(density, meta).items()]
-    lines.append(",".join([f"{density.k_name}\\{density.p_name}"] + [_fmt(v) for v in density.p_axis]))
+    lines.append(",".join(["xk\\xp"] + [_fmt(v) for v in density.p_axis]))
     for k, row in zip(density.k_axis.tolist(), np.asarray(density.values, dtype=float).tolist()):
         lines.append(",".join(map(repr, [k] + row)))
     with open(path, "w") as fh:

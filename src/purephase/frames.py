@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -151,16 +150,8 @@ def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> No
                 f"mean occupancy {occupancy:.3g} above the photon-counting "
                 "regime (<= 0.15 counts/pixel/frame)",
                 OccupancyWarning,
-                stacklevel=_caller_stacklevel(),
+                stacklevel=4,  # past _synthesize and the synthesize_* entry point
             )
-
-
-def _caller_stacklevel() -> int:
-    """Stacklevel at which a warning issued by the calling function leaves this module."""
-    level = 1
-    while sys._getframe(level).f_code.co_filename == __file__:
-        level += 1
-    return level
 
 
 # frames per Philox block: part of the stream format, not a tuning knob, since
@@ -258,14 +249,16 @@ def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames
 
 def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Image of the crystal plane: position-correlated pair frames."""
-    state = dg_state(params, 1.0)  # wavelength does not enter the position density
-    stack = synthesize_joint(state, det, n_frames)
-    stack.metadata.update(
-        kind="nearfield",
-        sigma_plus_true=params.sigma_plus,
-        sigma_minus_true=params.sigma_minus,
-    )
-    return stack
+    cov = dg_state(params, 1.0).position_covariance()  # wavelength does not enter the position density
+    meta = {
+        "kind": "nearfield",
+        "cov_11": cov[0, 0],
+        "cov_12": cov[0, 1],
+        "cov_22": cov[1, 1],
+        "sigma_plus_true": params.sigma_plus,
+        "sigma_minus_true": params.sigma_minus,
+    }
+    return _synthesize(cov, det, n_frames, meta, split=False)
 
 
 def synthesize_farfield(params: DGParams, det: DetectorConfig, n_frames: int, fourier_focal: float, wavelength: float) -> FrameStack:

@@ -180,9 +180,15 @@ def _weighted_std(x: np.ndarray, w: np.ndarray) -> float:
 # construction
 
 
+def _corner_phase_gradient(state: GaussianBiphotonState, half: list[float], axis: int) -> float:
+    """Phase gradient 2(|Im m_ii| h_i + |Im m12| h_j) along ``axis`` at the corner of a
+    grid of half-extents ``half``; a pitch samples it below Nyquist while gradient * pitch < pi."""
+    m_ii = state.m11 if axis == 0 else state.m22
+    return 2.0 * (abs(m_ii.imag) * half[axis] + abs(state.m12.imag) * half[1 - axis])
+
+
 def _sampling_requirements(state: GaussianBiphotonState, spec: GridSpec):
     """Check extent, pitch and phase-sampling adequacy; raise listing required n."""
-    im_diag = [abs(state.m11.imag), abs(state.m22.imag)]
     half = [spec.n1 * spec.dx1 / 2.0, spec.n2 * spec.dx2 / 2.0]
     for axis, (n, dx) in enumerate(((spec.n1, spec.dx1), (spec.n2, spec.dx2))):
         extent = n * dx
@@ -198,8 +204,7 @@ def _sampling_requirements(state: GaussianBiphotonState, spec: GridSpec):
                 f"grid axis {axis + 1} pitch {dx:.3g} um exceeds sigma_min/8 = "
                 f"{cond / 8.0:.3g} um"
             )
-        # local phase gradient at the grid corner must stay below Nyquist
-        kmax = 2.0 * (im_diag[axis] * half[axis] + abs(state.m12.imag) * half[1 - axis])
+        kmax = _corner_phase_gradient(state, half, axis)
         if kmax * dx > math.pi:
             raise DomainError(
                 f"grid axis {axis + 1} pitch {dx:.3g} um cannot resolve the quadratic phase "
@@ -216,8 +221,6 @@ def auto_grid_spec(
     """Smallest power-of-two grid meeting the sampling invariants with margin."""
     sigma_m = [state.marginal_position_std(1), state.marginal_position_std(2)]
     sigma_c = [state.conditional_position_std(1), state.conditional_position_std(2)]
-    im_diag = [abs(state.m11.imag), abs(state.m22.imag)]
-    im_cross = abs(state.m12.imag)
     dx = [sigma_c[0] / points_per_sigma, sigma_c[1] / points_per_sigma]
     n = [8, 8]
     for _ in range(80):
@@ -226,7 +229,7 @@ def auto_grid_spec(
         half = [n[0] * dx[0] / 2.0, n[1] * dx[1] / 2.0]
         ok = True
         for i in (0, 1):
-            kmax = 2.0 * (im_diag[i] * half[i] + im_cross * half[1 - i])
+            kmax = _corner_phase_gradient(state, half, i)
             if kmax * dx[i] > 0.9 * math.pi:
                 dx[i] = 0.8 * 0.9 * math.pi / kmax
                 ok = False

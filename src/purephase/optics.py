@@ -331,7 +331,9 @@ def measurement_quadratic(
     kk = 2.0 * math.pi**2 / (lam_f * lam_f * a)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         kp = math.pi * b / (lam_f * imaging_mag * a)
-        pp = 2.0 * a / imaging_mag**2 + b * b / (2.0 * imaging_mag**2 * a)
+        # m * m, not m**2: numpy squares a scalar with pow, an array with a product
+        mag2 = imaging_mag * imaging_mag
+        pp = 2.0 * a / mag2 + b * b / (2.0 * mag2 * a)
     finite = np.isfinite(kp) & np.isfinite(pp)
     if not finite.all():
         bad = np.extract(~finite, imaging_mag)[0]

@@ -10,6 +10,7 @@ results for a fixed configuration and seed.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -119,6 +120,15 @@ def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> None:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+@contextlib.contextmanager
+def _naming(mag: float):
+    """Prefix ``magnification <mag>: `` to a DomainError raised inside."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"magnification {mag!r}: {exc}") from None
+
+
 def _write_density(cfg: RunConfig, dens: Density2D, name: str) -> Density2D:
     """Write <name>.npy and <name>.meta (the exact artifact) and the <name>.pgm preview; return dens."""
     write_density(dens, _out(cfg, f"{name}.npy"), {"config_hash": cfg.config_hash()})
@@ -190,7 +200,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
     columns = (cfg.magnifications, theta, abs(theta), np.full_like(theta, quad.kk), quad.kp, quad.pp, major, minor)
     for mag in cfg.magnifications:
         mag_quad = quad_for(cfg, mag)
-        dens = _rasterize(mag_quad, _pitch_for(cfg, mag_quad), cfg.arm_width_px)
+        with _naming(mag):
+            dens = _rasterize(mag_quad, _pitch_for(cfg, mag_quad), cfg.arm_width_px)
         _write_density(cfg, dens, f"predict_rho_{mag_tag(mag)}")
     _write_table(
         cfg,
@@ -208,7 +219,8 @@ def cmd_predict(cfg: RunConfig) -> dict:
 def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
     quad = quad_for(cfg, mag)
     det = _detector_for(cfg, quad, index + 1)
-    stack = synthesize_frames(quad, det, cfg.frames)
+    with _naming(mag):
+        stack = synthesize_frames(quad, det, cfg.frames)
     scaled = scaled_params(cfg)
     stack.metadata.update(
         amp_coeff=scaled.amp_coeff,

@@ -167,6 +167,13 @@ class TestConfig:
     def test_hash_ignores_out_dir(self):
         assert RunConfig(out_dir="a").config_hash() == RunConfig(out_dir="b").config_hash()
 
+    def test_hash_ignores_spelling(self):
+        # a bool flag, an int width and the unread 1d height all name the default run
+        default = RunConfig().config_hash()
+        for spelling in ({"clip_binary": True}, {"sigma_plus_um": 286}, {"arm_height_px": 8}):
+            assert RunConfig(**spelling).config_hash() == default
+        assert RunConfig(mode="2d", arm_height_px=8).config_hash() != RunConfig(mode="2d").config_hash()
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -572,6 +579,17 @@ class TestCliErrors:
             warnings.simplefilter("error")
             err = self.refused_before_output(tmp_path, capsys, [verb], f"magnifications={mag},1.0,2.0")
         assert err == f"purephase {verb}: error: {message}"
+
+    @pytest.mark.parametrize("verb, message", [
+        ("simulate", "mean occupancy 4 counts/pixel/frame exceeds 1; lower mean_pair_rate or enlarge pixels"),
+        ("sweep", "mean occupancy 4 counts/pixel/frame exceeds 1; lower mean_pair_rate or enlarge pixels"),
+        ("predict", "density sum must be positive to self-normalise"),
+    ])
+    @pytest.mark.parametrize("mag", ["1e-100", "1e100"])
+    def test_far_magnification_named(self, tmp_path, capsys, verb, message, mag):
+        # a square that passes the load checks, refused downstream under the magnification's own name
+        err = self.refused_before_output(tmp_path, capsys, [verb], f"magnifications={mag},1.0,2.0")
+        assert err == f"purephase {verb}: error: magnification {float(mag)!r}: {message}"
 
     def test_sweep_needs_three_magnifications(self, tmp_path, capsys):
         # refused before any stage runs, not by the magnification fit after every stage wrote

@@ -95,7 +95,7 @@ class TestNpyRoundTrip:
         write_density(dens, path, {"config_hash": "abc123"})
         loaded, extras = read_density(path)
         assert loaded.values.tobytes() == dens.values.tobytes()
-        axes = ("k_origin", "k_pitch", "p_origin", "p_pitch", "normalized", "k_name", "p_name")
+        axes = ("k_origin", "k_pitch", "p_origin", "p_pitch", "normalized")
         assert [getattr(loaded, key) for key in axes] == [getattr(dens, key) for key in axes]
         assert extras == {"config_hash": "abc123"}
         rows, cols = dens.values.shape

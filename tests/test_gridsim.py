@@ -67,6 +67,53 @@ class TestGridSpec:
             auto_grid_spec(state, max_n=1024)
         assert str(refused.value) == "state needs n=2048 > max_n=1024 grid points per axis"
 
+    def test_auto_spec_pinned(self):
+        # the oracle's states: 286/13 um, then each ratio's source, pure-phase and
+        # rescaled pure-phase states
+        states = {"286/13": dg_state(DGParams(286.0, 13.0), WAVELENGTH)}
+        for ratio in (1.0, 5.0, 22.0, 30.0):
+            params = DGParams(13.0 * ratio, 13.0)
+            pure = pure_phase_params(params)
+            states[f"ratio{ratio:g}"] = dg_state(params, WAVELENGTH)
+            states[f"ratio{ratio:g}-pure"] = pure_phase_state(pure, WAVELENGTH)
+            states[f"ratio{ratio:g}-scaled"] = pure_phase_state(pure.rescaled(1.4029), WAVELENGTH)
+        # unlike those, its two diagonal phases differ, so each axis takes its own pitch
+        params = DGParams(100.0, 13.0)
+        fresnel = Fresnel(phase_plane_distance(params, WAVELENGTH), PHOTON_2)
+        states["fresnel2"] = apply_element(dg_state(params, WAVELENGTH), fresnel)
+        # ratio22/30-pure and fresnel2 shrink their pitch below sigma_min/8 for the corner phase
+        pinned = {
+            "286/13": (2048, 2048, 1.623323877841737, 1.623323877841737),
+            "ratio1": (128, 128, 1.1490485194281397, 1.1490485194281397),
+            "ratio1-pure": (128, 128, 2.2980970388562794, 2.2980970388562794),
+            "ratio1-scaled": (128, 128, 3.224000335811475, 3.224000335811475),
+            "ratio5": (256, 256, 1.5934435979977453, 1.5934435979977453),
+            "ratio5-pure": (128, 128, 8.285906709588275, 8.285906709588275),
+            "ratio5-scaled": (128, 128, 11.624298522881393, 11.624298522881393),
+            "ratio22": (2048, 2048, 1.623323877841737, 1.623323877841737),
+            "ratio22-pure": (512, 512, 7.3741530901174075, 7.3741530901174075),
+            "ratio22-scaled": (512, 512, 10.34519937012571, 10.34519937012571),
+            "ratio30": (2048, 2048, 1.6240979738411259, 1.6240979738411259),
+            "ratio30-pure": (1024, 1024, 7.363591514364884, 7.363591514364884),
+            "ratio30-scaled": (1024, 1024, 10.330382535502496, 10.330382535502496),
+            "fresnel2": (512, 512, 2.3114678793874766, 2.2346386785581944),
+        }
+        assert list(states) == list(pinned)
+        for tag, state in states.items():
+            spec = auto_grid_spec(state)
+            assert repr((spec.n1, spec.n2, spec.dx1, spec.dx2)) == repr(pinned[tag]), tag
+
+    @pytest.mark.parametrize("spec, message", [
+        (GridSpec(64, 64, 2.0, 2.0), "grid axis 1 extent 128 um < 8 marginal sigma (408 um); need n >= 256 at this pitch"),
+        (GridSpec(1024, 64, 2.0, 2.0), "grid axis 2 extent 128 um < 8 marginal sigma (408 um); need n >= 256 at this pitch"),
+        (GridSpec(1024, 1024, 10.0, 10.0), "grid axis 1 pitch 10 um exceeds sigma_min/8 = 2.45 um"),
+        (GridSpec(1024, 1024, 2.0, 10.0), "grid axis 2 pitch 10 um exceeds sigma_min/8 = 2.45 um"),
+    ], ids=["extent1", "extent2", "pitch1", "pitch2"])
+    def test_sampling_refusals(self, spec, message):
+        with pytest.raises(DomainError) as refused:
+            discretize(dg_state(DGParams(100.0, 20.0), WAVELENGTH), spec)
+        assert str(refused.value) == message
+
 
 class TestDiscretize:
     def test_norm_and_marginals(self):
