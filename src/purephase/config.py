@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 from .denoise import CleaningConfig
@@ -86,6 +87,13 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if field.type == "int":
+                value = getattr(self, field.name)
+                try:
+                    operator.index(value)  # int, bool and numpy integers pass
+                except TypeError:
+                    raise DomainError(f"{field.name} must be an integer, got {value!r}") from None
         if self.mode not in ("1d", "2d"):
             raise DomainError(f"mode must be 1d or 2d, got {self.mode!r}")
         if self.mode == "2d" and self.arm_height_px < 2:

@@ -11,19 +11,26 @@ half sums to 1/sqrt(2), so the row and column sums of the density's own
 approximation band are the marginals' bands up to a scale, and their outer
 product is the marginal image's band; the cutoff does not depend on scale, so
 the marginal image is never decomposed.  Each wavelet level is one orthogonal
-matrix (see :mod:`purephase.wavelets`).  Defaults were tuned once on
-synthetic stacks and are frozen in :class:`CleaningConfig`.
+matrix (see :mod:`purephase.wavelets`), and only the approximation band
+changes, so the cleaning forms that band alone, a = A0 v A1^T with A_i the
+product of the levels' lowpass halves, and reconstructs as
+v + A0^T (H(a) - a) A1: the full round trip with untouched detail bands, to
+rounding.  Both radial filters are even and run on real FFTs.  Defaults were
+tuned once on synthetic stacks and are frozen in :class:`CleaningConfig`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .density import Density2D
 from .states import DomainError
-from .wavelets import check_divisible, daubechies_filters, wavedec2, waverec2
+# clean_density never calls wavedec2 or waverec2: bench/tracing.py wraps both
+# under these names, and tests/test_bench_contract.py requires that they resolve
+from .wavelets import _lowpass_product, check_divisible, daubechies_filters, wavedec2, waverec2
 
 __all__ = ["CleaningConfig", "marginal_image", "excess_g2", "clean_density", "psd_cutoff"]
 
@@ -72,9 +79,11 @@ def excess_g2(density: Density2D) -> Density2D:
     return replace(density, values=values, normalized=False)
 
 
-def _radial_freq(shape) -> np.ndarray:
+def _radial_freq(shape, half: bool = False) -> np.ndarray:
+    """Radial frequency on the ``fft2`` grid of an image of ``shape``, or on
+    the ``rfft2`` half-plane if ``half``."""
     fy = np.fft.fftfreq(shape[0])[:, None]
-    fx = np.fft.fftfreq(shape[1])[None, :]
+    fx = (np.fft.rfftfreq if half else np.fft.fftfreq)(shape[1])[None, :]
     return np.sqrt(fy * fy + fx * fx)
 
 
@@ -100,37 +109,50 @@ def psd_cutoff(image: np.ndarray, power_fraction: float) -> float:
 
 
 def _filtered(image: np.ndarray, window: np.ndarray) -> np.ndarray:
-    return np.fft.ifft2(np.fft.fft2(image) * window).real
+    """Real image times a radial, hence even, window on the ``rfft2`` half-plane."""
+    return np.fft.irfft2(np.fft.rfft2(image) * window, s=image.shape)
+
+
+@lru_cache(maxsize=None)
+def _lowpass(shape, cutoff: float, bandwidth: float) -> np.ndarray:
+    """Read-only smoothing window: flat to ``cutoff``, then a Gaussian roll-off
+    ``bandwidth`` pixels wide in real space."""
+    r = _radial_freq(shape, half=True)
+    taper_q = 1.0 / (2.0 * math.pi * bandwidth)
+    window = np.where(r <= cutoff, 1.0, np.exp(-0.5 * ((r - cutoff) / taper_q) ** 2))
+    window.flags.writeable = False
+    return window
 
 
 def clean_density(density: Density2D, config: CleaningConfig) -> Density2D:
     """Appendix-style spectral cleaning; output is non-negative and renormalised.
 
-    Steps: wavelet-decompose the density; take the structured bandwidth of the
-    marginal image's approximation band, the outer product of the row and
-    column sums of the density's approximation band (the cutoff does not
-    depend on the image's scale); remove that band from the density's
+    Steps: take the density's wavelet approximation band; take the structured
+    bandwidth of the marginal image's approximation band, the outer product of
+    the row and column sums of the density's approximation band (the cutoff
+    does not depend on the image's scale); remove that band from the density's
     approximation; reconstruct with the original detail bands; apply the
     smoothing low-pass; clamp and normalise like the input.
     """
     config.check_image(density.values.shape)
-    coeffs_m = wavedec2(density.values, config.wavelet_order, config.decomp_level)
-    approx = coeffs_m[0]
+    values = density.values
+    a0, a1 = (_lowpass_product(n, config.wavelet_order, config.decomp_level) for n in values.shape)
+    approx = a0 @ values @ a1.T
     cutoff = psd_cutoff(np.outer(approx.sum(axis=1), approx.sum(axis=0)), config.psd_threshold)
     # the surviving pedestal is deliberate: it is absorbed by the offset term
     # of the downstream Gaussian fits, and removing it would dig negative moats
     # around the signal that the final clamp turns into a fresh low-frequency
     # artefact on every re-application
-    highpass = _radial_freq(approx.shape) > cutoff
+    highpass = _radial_freq(approx.shape, half=True) > cutoff
     highpass[0, 0] = True
-    coeffs_m[0] = _filtered(approx, highpass)
-    rebuilt = waverec2(coeffs_m, config.wavelet_order)
+    # every level is orthogonal and the detail bands pass through untouched,
+    # so the reconstruction is the density plus the approximation's change
+    # mapped back; the detail bands are never formed
+    rebuilt = values + a0.T @ (_filtered(approx, highpass) - approx) @ a1
     # flat inside the pass band, so repeated application only touches the
     # Gaussian roll-off (kde_bandwidth wide in real space); this keeps the
     # cleaning close to idempotent
-    r, cut = _radial_freq(rebuilt.shape), config.lowpass_cutoff
-    taper_q = 1.0 / (2.0 * math.pi * config.kde_bandwidth)
-    lowpass = np.where(r <= cut, 1.0, np.exp(-0.5 * ((r - cut) / taper_q) ** 2))
+    lowpass = _lowpass(rebuilt.shape, config.lowpass_cutoff, config.kde_bandwidth)
     rebuilt = np.clip(_filtered(rebuilt, lowpass), 0.0, None)
     cleaned = replace(density, values=rebuilt, normalized=False)
     if density.normalized:

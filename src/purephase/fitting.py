@@ -132,11 +132,19 @@ def moment_estimate(density: Density2D) -> tuple[float, float, float, float, flo
     return float(vals.max()), ck, cp, float(kk), float(kp), float(pp)
 
 
-_EXP_ZERO = -746.0  # exp(x) rounds to 0.0 for every x below -745.14
+# exp(-354) is about 2^-511, so a kept e has a normal square (>= 4.9e-308):
+# neither e nor e^2 is ever subnormal, and numpy's exp and the moment products
+# of _normal_equations take a slow path on subnormal values
+_EXP_FLOOR = -354.0
 
 
 def _gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset, out=None):
-    """amplitude * exp(-Q) + offset on the grid of ``coords``, built in place in ``out`` (fresh if None)."""
+    """amplitude * exp(-Q) + offset on the grid of ``coords``, built in place in ``out`` (fresh if None).
+
+    exp(-Q) reads exactly 0 where -Q <= -354: below 2^-511 of the peak, such a
+    term is lost to rounding in every sum a fit takes with it.  Elsewhere it
+    is np.exp(-Q) to the bit, and amplitude 1 and offset 0 leave it as is.
+    """
     k, p = coords
     dk = k - ck
     dp = p - cp
@@ -144,12 +152,14 @@ def _gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset, out=None):
     out = np.multiply(-2.0 * kp * dk, dp, out=out)
     out -= kk * dk * dk
     out -= pp * dp * dp
-    # exp is exactly 0 below _EXP_ZERO; skipping those points spares numpy's
-    # slow path for arguments under the normal range, and changes no value
-    np.exp(out, out=out, where=out > _EXP_ZERO)
-    np.maximum(out, 0.0, out=out)  # the skipped points, all below _EXP_ZERO, read 0
-    out *= amplitude
-    out += offset
+    zero = out <= _EXP_FLOOR
+    np.maximum(out, _EXP_FLOOR, out=out)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=zero)
+    if amplitude != 1.0:
+        out *= amplitude
+    if offset != 0.0:
+        out += offset
     return out
 
 

@@ -9,7 +9,10 @@ periodic, so one level on an axis of n (even) samples is one cached orthogonal
 ``m0 @ x @ m1.T`` and its inverse the transposed product, exact to rounding.
 Every column of a lowpass half sums to 1/sqrt(2), wrapped taps included, so
 the row and column sums of an approximation band are 2^(-level/2) times the
-approximation bands of the image's row and column sums.
+approximation bands of the image's row and column sums.  The approximation
+band alone is ``a0 @ x @ a1.T``, with a0 and a1 the cached products of the
+levels' lowpass halves; the cleaning stage uses only that, and ``wavedec2``
+and ``waverec2`` give every band.
 """
 from __future__ import annotations
 
@@ -63,6 +66,17 @@ def _level(n: int, order: int) -> np.ndarray:
     np.add.at(m, (rows + n // 2, cols), g)
     m.flags.writeable = False
     return m
+
+
+@lru_cache(maxsize=None)
+def _lowpass_product(n: int, order: int, level: int) -> np.ndarray:
+    """Read-only (n >> level, n) product of the lowpass halves of ``level``
+    levels: the approximation band of x along one axis is this times x."""
+    product = _level(n, order)[: n // 2]
+    for done in range(1, level):
+        product = _level(n >> done, order)[: n >> (done + 1)] @ product
+    product.flags.writeable = False
+    return product
 
 
 def check_divisible(shape, level: int) -> None:

@@ -98,3 +98,47 @@ def marginal_cutoffs(density, config=None) -> tuple[list[float], float]:
         dn.clean_density(density, config)
     band = wavedec2(dn.marginal_image(density).values, config.wavelet_order, config.decomp_level)[0]
     return chosen, psd_cutoff(band, config.psd_threshold)
+
+
+def masked_exp_gauss2d(coords, amplitude, ck, cp, kk, kp, pp, offset, out=None):
+    """The 2D fit's model as it was before exp(-Q) got its -354 floor: exp only
+    where -Q > -746 (exp rounds to 0 below -745.14), 0 elsewhere, then scaled."""
+    k, p = coords
+    dk = k - ck
+    dp = p - cp
+    out = np.multiply(-2.0 * kp * dk, dp, out=out)
+    out -= kk * dk * dk
+    out -= pp * dp * dp
+    np.exp(out, out=out, where=out > -746.0)
+    np.maximum(out, 0.0, out=out)
+    out *= amplitude
+    out += offset
+    return out
+
+
+def fit_and_count(density, mask=None, model=None):
+    """(fit_gaussian_2d of ``density``, its model evaluations), with the fit's
+    own model or with ``model`` in its place."""
+    from purephase import fitting
+
+    model = model or fitting._gauss2d
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return model(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fitting, "_gauss2d", counted)
+        fit = fitting.fit_gaussian_2d(density, mask)
+    return fit, len(calls)
+
+
+def assert_exp_floor_moves_no_fit(density, mask=None):
+    """The fit and its evaluation count equal those of the masked-exp model,
+    on a density whose fitted model has cells between the two cut-offs."""
+    fit, nfev = fit_and_count(density, mask)
+    assert (fit, nfev) == fit_and_count(density, mask, masked_exp_gauss2d)
+    k, p = density.k_axis[:, None] - fit.center_k, density.p_axis[None, :] - fit.center_p
+    q = fit.kk * k * k + 2.0 * fit.kp * k * p + fit.pp * p * p
+    assert ((q >= 354.0) & (q < 746.0)).any()

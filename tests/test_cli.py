@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import hashlib
 import math
@@ -17,7 +18,7 @@ from purephase.density import Density2D, read_density, read_density_csv, write_d
 from purephase.fitting import fit_gaussian_2d
 from purephase.frames import _HEADER, read_framestack, write_framestack
 from purephase.states import DomainError
-from conftest import marginal_cutoffs
+from conftest import assert_exp_floor_moves_no_fit, marginal_cutoffs
 
 pytestmark = pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
 
@@ -173,6 +174,18 @@ class TestConfig:
         for spelling in ({"clip_binary": True}, {"sigma_plus_um": 286}, {"arm_height_px": 8}):
             assert RunConfig(**spelling).config_hash() == default
         assert RunConfig(mode="2d", arm_height_px=8).config_hash() != RunConfig(mode="2d").config_hash()
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig) if f.type == "int"])
+    @pytest.mark.parametrize("value", [2500.7, 2.0, "2"])
+    def test_int_fields_refuse_non_integers(self, key, value):
+        # frames=2500.7 once loaded, hashed like frames=2500, and then failed in synthesis
+        with pytest.raises(DomainError) as info:
+            RunConfig(**{key: value})
+        assert str(info.value) == f"{key} must be an integer, got {value!r}"
+
+    def test_numpy_integers_keep_their_hash(self):
+        spelled = RunConfig(frames=np.int64(100000), seed=np.uint32(12345), keep_unsplit=np.int8(1))
+        assert spelled.config_hash() == RunConfig().config_hash()
 
 
 @pytest.fixture(scope="module")
@@ -342,9 +355,16 @@ def archived_sweep(tmp_path_factory):
 SWEEP_DIGESTS = {
     # report's CSV exports of the sweep's raw and cleaned densities
     "density_m+1.00.csv": "856c96d7ca0f92b512f1427fcc6465e3585ecdfd7ee7a74ef3874e28539d4832",
-    "cleaned_m+1.00.csv": "0c4f07f1068d68fb97762826a980fd207af74a94ce57041e346e21e379d06743",
+    "cleaned_m+1.00.csv": "acb973bec3b47029a9b8c38c37cd0a534fb7fa3bafd03d927cb4907fc41ea3b1",
     # the sweep's PPF1 sidecar, written through the shared key=value helper
     "frames_m+1.00.ppf.meta": "10914a3e057b557eef4a82d3650ba6cffd9a16182cc4cee671bb744d0ba84096",
+}
+
+# report's CSV exports of the densities estimated and cleaned from the archived stacks, by
+# artifact name: they pin estimation, cleaning and export whatever the frame streams become
+ARCHIVED_DIGESTS = {
+    "density_m+1.00.csv": "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf",
+    "cleaned_m+1.00.csv": "8e92f14ad12901d1df9033a784e4055b6d3cef126a7d91900c5fa41d796d512e",
 }
 
 
@@ -359,20 +379,19 @@ class TestDensityArtifacts:
             assert loaded.shape == values.shape and loaded.tobytes() == values.tobytes(), name
             assert read_density(out / f"{name}.npy")[0].values.tobytes() == values.tobytes(), name
 
-    @pytest.mark.parametrize("name, digest", [
-        # report's CSV exports: the bytes the sweep itself wrote before densities became .npy
-        # artifacts, estimated and cleaned from the archived stacks, so that they pin
-        # estimation, cleaning and export whatever the frame streams become
-        ("density_m+1.00.csv", "4faeda7c51ab3f4461869f2647c6a14ed22041b051ceee98d3f1b2463a68ccbf"),
-        ("cleaned_m+1.00.csv", "ead526141298d8403f24e024a1f4e9c1115d66e99d803affdbd37aa38376e713"),
-    ])
-    def test_pinned_artifact_bytes(self, archived_sweep, name, digest):
-        assert hashlib.sha256((archived_sweep / name).read_bytes()).hexdigest() == digest
+    @pytest.mark.parametrize("name", sorted(ARCHIVED_DIGESTS))
+    def test_pinned_artifact_bytes(self, archived_sweep, name):
+        assert hashlib.sha256((archived_sweep / name).read_bytes()).hexdigest() == ARCHIVED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(SWEEP_DIGESTS))
     def test_sweep_artifact_bytes(self, small_sweep, name):
         out, _ = small_sweep
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == SWEEP_DIGESTS[name]
+
+    @pytest.mark.parametrize("tag", ["0.50", "1.00", "2.00"])
+    def test_exp_floor_moves_no_raw_fit(self, small_sweep, tag):
+        out, _ = small_sweep
+        assert_exp_floor_moves_no_fit(read_density(out / f"density_m+{tag}.npy")[0])
 
     @pytest.mark.parametrize("tag", ["0.50", "1.00", "2.00"])
     def test_cleaning_cutoff_matches_2d_route(self, small_sweep, tag):

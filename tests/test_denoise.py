@@ -10,8 +10,9 @@ from purephase.density import Density2D
 from purephase.fitting import FitError, fit_gaussian_2d
 from purephase.optics import tilt_angle
 from purephase.states import DomainError
-from purephase.wavelets import wavedec2
+from purephase.wavelets import wavedec2, waverec2
 from conftest import injected_background_density, marginal_cutoffs, paper_quad
+from test_wavelets import filter_defect
 
 
 def rasterized(quad, pitch, width=256):
@@ -24,6 +25,17 @@ def rasterized(quad, pitch, width=256):
 
 def noisy_background_density(paper_dg, mag=2.5, beta=8.0, seed=101):
     return injected_background_density(mag=mag, beta=beta, seed=seed)
+
+
+def radial_freq(shape):
+    fy = np.fft.fftfreq(shape[0])[:, None]
+    fx = np.fft.fftfreq(shape[1])[None, :]
+    return np.sqrt(fy * fy + fx * fx)
+
+
+@pytest.fixture(scope="module")
+def criterion_8_density():
+    return injected_background_density(mag=2.5, frames=3000, rate=12.0, dark=0.02, beta=8.0, seed=101)[0]
 
 
 class TestMarginalImage:
@@ -146,6 +158,34 @@ class TestCleanDensity:
         injected, _, _ = injected_background_density(mag=2.5, frames=3000, rate=12.0, dark=0.02, beta=8.0, seed=101)
         chosen, two_d = marginal_cutoffs(injected, CleaningConfig(wavelet_order=order, decomp_level=level))
         assert chosen == [two_d]
+
+    @staticmethod
+    def full_round_trip(density, config):
+        """The cleaning through every wavelet band: wavedec2, high-pass the
+        approximation, waverec2, then the low-pass, all on complex FFTs."""
+        coeffs = wavedec2(density.values, config.wavelet_order, config.decomp_level)
+        approx = coeffs[0]
+        cutoff = psd_cutoff(np.outer(approx.sum(axis=1), approx.sum(axis=0)), config.psd_threshold)
+        highpass = radial_freq(approx.shape) > cutoff
+        highpass[0, 0] = True
+        coeffs[0] = np.fft.ifft2(np.fft.fft2(approx) * highpass).real
+        rebuilt = waverec2(coeffs, config.wavelet_order)
+        r, cut = radial_freq(rebuilt.shape), config.lowpass_cutoff
+        taper_q = 1.0 / (2.0 * math.pi * config.kde_bandwidth)
+        lowpass = np.where(r <= cut, 1.0, np.exp(-0.5 * ((r - cut) / taper_q) ** 2))
+        rebuilt = np.clip(np.fft.ifft2(np.fft.fft2(rebuilt) * lowpass).real, 0.0, None)
+        return rebuilt / rebuilt.sum()
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 4, 10])
+    def test_matches_full_wavelet_round_trip(self, criterion_8_density, order, level):
+        # only the approximation band changes, so cleaning never forms the detail bands
+        config = CleaningConfig(wavelet_order=order, decomp_level=level)
+        cleaned = clean_density(criterion_8_density, config).values
+        reference = self.full_round_trip(criterion_8_density, config)
+        # no wavelet transform is more exact than its filter (see test_wavelets)
+        bound = max(1e-13, 20.0 * filter_defect(order)) * reference.max()
+        assert np.abs(cleaned - reference).max() < bound
 
     def test_small_image_rejected(self):
         dens = Density2D(np.ones((16, 16)), 0.0, 1.0, 0.0, 1.0)

@@ -17,8 +17,8 @@ from purephase.fitting import (
     moment_estimate,
 )
 from purephase.optics import PrepDesign, measurement_quadratic, principal_angle_deg, tilt_angle, tilt_from_form
-from purephase.states import pure_phase_params
-from conftest import WAVELENGTH, paper_quad
+from purephase.states import DGParams, dg_state, pure_phase_params
+from conftest import WAVELENGTH, assert_exp_floor_moves_no_fit, paper_quad
 
 FM = 15e4
 
@@ -268,6 +268,37 @@ class TestNormalEquations:
                 norms = np.linalg.norm(jac, axis=0)
                 assert np.all(np.abs(jtj - ref_jtj) <= 1e-12 * np.outer(norms, norms))
                 assert np.all(np.abs(jtr - ref_jtr) <= 1e-12 * norms * np.linalg.norm(r))
+
+
+class TestExpFloor:
+    """exp(-Q) is cut to 0 at -Q <= -354 (2^-511), and no fit moves for it."""
+
+    def test_model_is_plain_exp_above_the_floor_and_zero_below(self, rng):
+        k = np.linspace(-400.0, 400.0, 257)[:, None]
+        p = np.linspace(-300.0, 500.0, 255)[None, :]
+        for _ in range(5):
+            _, ck, cp, kk, kp, pp, _ = TestNormalEquations.random_params(rng)
+            kk, kp, pp = 20.0 * kk, 20.0 * kp, 20.0 * pp  # -Q runs from 0 to beyond -746
+            dk, dp = k - ck, p - cp
+            neg_q = -2.0 * kp * dk * dp - kk * dk * dk - pp * dp * dp
+            assert neg_q.max() > -1.0 and (neg_q < -746.0).any() and ((neg_q > -354.0) & (neg_q < -300.0)).any()
+            e = fitting._gauss2d((k, p), 1.0, ck, cp, kk, kp, pp, 0.0)
+            kept = neg_q > -354.0
+            assert e[kept].tobytes() == np.exp(neg_q[kept]).tobytes()
+            assert not e[~kept].any() and not np.signbit(e).any()
+            # neither e nor e^2 is subnormal
+            assert ((e == 0.0) | (e * e >= np.finfo(float).tiny)).all()
+            scaled = fitting._gauss2d((k, p), 2.5, ck, cp, kk, kp, pp, 0.125)
+            assert scaled.tobytes() == (2.5 * e + 0.125).tobytes()
+
+    def test_masked_diagonal_fedorov_density(self):
+        # estimate_fedorov's fit of a single-arm camera's density, diagonal left out
+        state = dg_state(DGParams(120.0, 15.0), WAVELENGTH)
+        x = (np.arange(128) - 63.5) * 4.0
+        values = np.abs(state.evaluate(x[:, None], x[None, :])) ** 2
+        np.fill_diagonal(values, 0.0)
+        dens = Density2D(values, x[0], 4.0, x[0], 4.0)
+        assert_exp_floor_moves_no_fit(dens, ~np.eye(128, dtype=bool))
 
 
 class TestFit2DContract:
