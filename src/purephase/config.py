@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .denoise import CleaningConfig
 from .frames import PPF1_MAX_FRAMES, PPF1_MAX_PX
-from .states import DGParams, DomainError, sigma_minus_from_crystal
+from .sidecar import _read_lines
+from .states import DGParams, DomainError, _require_positive, sigma_minus_from_crystal
 
 __all__ = ["RunConfig", "mag_tag", "parse_config_file", "config_from_file"]
 
@@ -120,8 +121,7 @@ class RunConfig:
                 raise DomainError(f"{key} must be 0 (not given) or positive and finite, got {getattr(self, key)!r}")
         lengths = ("wavelength_um", "f_um", "f2_um", "f3_um", "fm_um", "near_pitch_um", "far_pitch_um")
         for key in ("pump_wavelength_um", "pump_index", *lengths):
-            if not (0.0 < getattr(self, key) < math.inf):
-                raise DomainError(f"{key} must be positive and finite, got {getattr(self, key)!r}")
+            _require_positive(key, getattr(self, key))
         for key in ("mean_pair_rate", "calib_rate"):
             if not (0.0 <= getattr(self, key) < math.inf):
                 raise DomainError(f"{key} must be non-negative and finite, got {getattr(self, key)!r}")
@@ -197,21 +197,20 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path) -> dict:
     """Read key=value lines; '#' starts a comment; unknown keys are rejected."""
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-            key, _, raw = body.partition("=")
-            key = key.strip()
-            if key not in _PARSERS:
-                raise DomainError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            try:
-                values[key] = _coerce(key, raw.strip())
-            except DomainError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(_read_lines(path), 1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        if key not in _PARSERS:
+            raise DomainError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        try:
+            values[key] = _coerce(key, raw.strip())
+        except DomainError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
     return values
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sidecar import read_key_values, write_key_values
+from .sidecar import _read_lines, read_key_values, write_key_values
 from .states import DomainError
 
 __all__ = ["Density2D", "write_density", "read_density", "write_density_csv", "read_density_csv", "write_density_pgm"]
@@ -160,30 +160,29 @@ def read_density_csv(path) -> Density2D:
     meta = {}
     rows = []
     header = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, val = body.partition("=")
-                    meta[key.strip()] = val.strip()
-                continue
-            cells = line.split(",")
-            if header is None:
-                header = cells  # the x_p coordinates; the axes are read from the metadata
-                continue
-            try:
-                if len(cells) != len(header):
-                    raise ValueError(f"{len(cells)} cells where the header row has {len(header)}")
-                row = [float(c) for c in cells[1:]]
-                if not all(map(math.isfinite, row)):
-                    raise ValueError("non-finite density value")
-                rows.append(row)
-            except ValueError as exc:
-                raise DomainError(f"{path}, line {lineno}: {exc}") from None
+    for lineno, line in enumerate(_read_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, val = body.partition("=")
+                meta[key.strip()] = val.strip()
+            continue
+        cells = line.split(",")
+        if header is None:
+            header = cells  # the x_p coordinates; the axes are read from the metadata
+            continue
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells where the header row has {len(header)}")
+            row = [float(c) for c in cells[1:]]
+            if not all(map(math.isfinite, row)):
+                raise ValueError("non-finite density value")
+            rows.append(row)
+        except ValueError as exc:
+            raise DomainError(f"{path}, line {lineno}: {exc}") from None
     if header is None or not rows:
         raise DomainError(f"no density data in {path}")
     return _from_metadata(np.array(rows), meta, path)

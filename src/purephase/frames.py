@@ -29,12 +29,12 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .sidecar import read_key_values, write_key_values
-from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, dg_state
+from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, _require_positive, dg_state
 
 __all__ = [
     "DetectorConfig",
@@ -76,8 +76,7 @@ class DetectorConfig:
     stream: int = 0  # second word of the Philox key: stacks of one seed differ by stream
 
     def __post_init__(self):
-        if not (0.0 < self.pixel_pitch < math.inf):
-            raise DomainError(f"pixel_pitch must be positive and finite, got {self.pixel_pitch!r}")
+        _require_positive("pixel_pitch", self.pixel_pitch)
         if not -(2**63) <= self.seed < 2**63:  # the q field of the PPF1 header
             raise DomainError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         if not 0 <= self.stream < 2**64:
@@ -326,6 +325,10 @@ def read_framestack(path) -> FrameStack:
         if version != 1:
             raise DomainError(f"unsupported PPF1 version {version}")
         binary = bool(flags & _FLAG_BINARY)
+        try:  # the header's own fields, refused before its frame count sizes anything
+            geometry = DetectorConfig(pixel_pitch=pitch, width=width, height=height, clip_to_binary=binary, seed=seed)
+        except DomainError as exc:
+            raise DomainError(f"{path}: {exc}") from None
         dual = bool(flags & _FLAG_DUAL_ARM)
         n_arms = 2 if dual else 1
         px = height * width
@@ -350,14 +353,10 @@ def read_framestack(path) -> FrameStack:
         metadata = {}
     # the counting model's keys go to the detector alone, so a rewrite lists each once
     try:
-        det = DetectorConfig(
-            pixel_pitch=pitch,
-            width=width,
-            height=height,
+        det = replace(
+            geometry,
             mean_pair_rate=float(metadata.pop("mean_pair_rate", 0.0)),
             dark_count_prob=float(metadata.pop("dark_count_prob", 0.0)),
-            clip_to_binary=binary,
-            seed=seed,
             keep_unsplit=bool(int(metadata.pop("keep_unsplit", 1))),
             stream=int(metadata.pop("stream", 0)),
         )

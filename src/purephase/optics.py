@@ -30,6 +30,7 @@ from .states import (
     GaussianBiphotonState,
     GaussianForm,
     PurePhaseParams,
+    _require_positive,
     dg_state,
     phase_plane_distance,
 )
@@ -240,9 +241,7 @@ class PrepDesign:
 
     def __post_init__(self):
         for name in ("f", "f2", "f3", "z_p"):
-            val = getattr(self, name)
-            if not (val > 0.0 and math.isfinite(val)):
-                raise DomainError(f"{name} must be positive and finite, got {val!r}")
+            _require_positive(name, getattr(self, name))
         if self.u >= self.f:
             raise DomainError("not virtual imaging: object distance u must satisfy u < f")
         if self.u <= 0.0:
@@ -291,10 +290,8 @@ def prepare_p3(params: DGParams, wavelength: float, design: PrepDesign) -> Gauss
             f"design z_p ({design.z_p:.6g} um) does not match the state's phase "
             f"plane ({z_p:.6g} um)"
         )
-    state = dg_state(params, wavelength)
-    state = apply_element(state, Fresnel(design.z_p, BOTH))
-    state = apply_element(state, LensImaging(design.u, design.f, BOTH))
-    state = apply_element(state, Scale(-1.0 / design.mag_4f, BOTH))
+    chain = [Fresnel(design.z_p, BOTH), LensImaging(design.u, design.f, BOTH), Scale(-1.0 / design.mag_4f, BOTH)]
+    state = apply_chain(dg_state(params, wavelength), chain)
     if not state.is_exchange_symmetric():
         raise DomainError("preparation broke photon-exchange symmetry")
     return state

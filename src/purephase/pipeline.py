@@ -11,7 +11,6 @@ results for a fixed configuration and seed.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 import os
 
@@ -31,7 +30,7 @@ from .estimation import (
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
 from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
-from .sidecar import write_key_values
+from .sidecar import _read_lines, write_key_values
 from .states import (
     DGParams,
     DomainError,
@@ -88,19 +87,24 @@ def _pitch_for(cfg: RunConfig, quad) -> float:
     return cfg.pixel_pitch_um or _auto_pitch(quad, cfg.arm_width_px)
 
 
-def _detector_for(cfg: RunConfig, quad, stream: int) -> DetectorConfig:
-    height = cfg.arm_height_px if cfg.mode == "2d" else 1
+def _camera(cfg: RunConfig, pitch: float, width: int, height: int, rate: float, stream: int) -> DetectorConfig:
+    """A camera of this geometry and pair rate, drawing from ``stream``, under the run's counting model."""
     return DetectorConfig(
-        pixel_pitch=_pitch_for(cfg, quad),
-        width=cfg.arm_width_px,
+        pixel_pitch=pitch,
+        width=width,
         height=height,
-        mean_pair_rate=cfg.mean_pair_rate,
+        mean_pair_rate=rate,
         dark_count_prob=cfg.dark_count_prob,
         clip_to_binary=bool(cfg.clip_binary),
         seed=cfg.seed,
         keep_unsplit=bool(cfg.keep_unsplit),
         stream=stream,
     )
+
+
+def _detector_for(cfg: RunConfig, quad, stream: int) -> DetectorConfig:
+    height = cfg.arm_height_px if cfg.mode == "2d" else 1
+    return _camera(cfg, _pitch_for(cfg, quad), cfg.arm_width_px, height, cfg.mean_pair_rate, stream)
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -143,17 +147,9 @@ def _write_density(cfg: RunConfig, dens: Density2D, name: str) -> Density2D:
 def cmd_calibrate(cfg: RunConfig) -> dict:
     """Synthesize near/far-field stacks and estimate the source widths."""
     params = source_params(cfg)
-    near_det = DetectorConfig(
-        pixel_pitch=cfg.near_pitch_um,
-        width=cfg.calib_width_px,
-        height=1,
-        mean_pair_rate=cfg.calib_rate,
-        dark_count_prob=cfg.dark_count_prob,
-        clip_to_binary=bool(cfg.clip_binary),
-        seed=cfg.seed,
-        stream=_STREAM_NEAR,
-    )
-    far_det = dataclasses.replace(near_det, pixel_pitch=cfg.far_pitch_um, stream=_STREAM_FAR)
+    # single-arm synthesis never reads keep_unsplit, and calibrate writes no stack
+    near_det = _camera(cfg, cfg.near_pitch_um, cfg.calib_width_px, 1, cfg.calib_rate, _STREAM_NEAR)
+    far_det = _camera(cfg, cfg.far_pitch_um, cfg.calib_width_px, 1, cfg.calib_rate, _STREAM_FAR)
     near = synthesize_nearfield(params, near_det, cfg.calib_frames)
     far = synthesize_farfield(params, far_det, cfg.calib_frames, cfg.fm_um, cfg.wavelength_um)
 
@@ -352,8 +348,7 @@ def cmd_report(cfg: RunConfig) -> dict:
     for name in ("calibrate_report.txt", "sweep_report.txt", "predict_tilt.csv", "fits.csv"):
         path = _out(cfg, name)
         if os.path.exists(path):
-            with open(path) as fh:
-                sections.append(f"--- {name} ---\n{fh.read()}")
+            sections.append(f"--- {name} ---\n{''.join(_read_lines(path))}")
     exports = [name for name in sorted(os.listdir(cfg.out_dir)) if name.endswith(".npy") and name.startswith(_EXPORTED)]
     for name in exports:
         dens, extras = read_density(_out(cfg, name))

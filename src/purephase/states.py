@@ -108,10 +108,6 @@ class DGParams:
         _require_positive("sigma_plus", self.sigma_plus)
         _require_positive("sigma_minus", self.sigma_minus)
 
-    @property
-    def width_ratio(self) -> float:
-        return self.sigma_plus / self.sigma_minus
-
 
 @dataclass(frozen=True)
 class PurePhaseParams:
@@ -313,14 +309,14 @@ def phase_plane_distance(params: DGParams, wavelength: float) -> float:
 
 def schmidt_number(params: DGParams) -> float:
     """Analytic entanglement measure (r + 1/r)^2 / 4 with r = sp/sm."""
-    r = params.width_ratio
+    r = birth_zone_number(params)
     s = r + 1.0 / r
     return 0.25 * s * s
 
 
 def birth_zone_number(params: DGParams) -> float:
     """Number of independent pair-generation zones across the pump spot, sp/sm."""
-    return params.width_ratio
+    return params.sigma_plus / params.sigma_minus
 
 
 def fedorov_ratio(state: GaussianBiphotonState) -> float:

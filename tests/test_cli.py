@@ -367,6 +367,27 @@ ARCHIVED_DIGESTS = {
     "cleaned_m+1.00.csv": "8e92f14ad12901d1df9033a784e4055b6d3cef126a7d91900c5fa41d796d512e",
 }
 
+# calibrate's two profiles at calib_frames=4000, seed 5: exact pair sums of its near- and
+# far-field stacks, with no transcendental; its report holds 1D fits and stays unpinned
+CALIBRATE_DIGESTS = {
+    "calibrate_autocorr.csv": "312b9016fb98e4f7527aef16489d62da162381a9b746ea61d48d0a4566b0e713",
+    "calibrate_autoconv.csv": "ccb3fb120094e804777ddf10105bc2876825cea499ff42bc4940d0a5c714ed0a",
+}
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    out = tmp_path_factory.mktemp("calibrated")
+    cfg = out / "run.cfg"
+    cfg.write_text("calib_frames=4000\n")
+    assert cli.main(["calibrate", "--config", str(cfg), "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATE_DIGESTS))
+def test_calibrate_profile_bytes(calibrated, name):
+    assert hashlib.sha256((calibrated / name).read_bytes()).hexdigest() == CALIBRATE_DIGESTS[name]
+
 
 class TestDensityArtifacts:
     def test_npy_grids_are_the_sweep_densities_bitwise(self, small_sweep):
@@ -571,6 +592,37 @@ class TestCliErrors:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert err.endswith(f"{path} is truncated or corrupt: it holds 100 payload bytes, its header implies 32768000000000")
+
+    @pytest.mark.parametrize("pitch, width, message", [
+        (0.0, 256, "pixel_pitch must be positive and finite, got 0.0"),
+        (math.nan, 256, "pixel_pitch must be positive and finite, got nan"),
+        (1.0, 1, "detector needs width >= 2 and height >= 1"),
+    ], ids=["pitch-0", "pitch-nan", "width-1"])
+    def test_ppf1_header_fault_names_the_stack(self, tmp_path, capsys, pitch, width, message):
+        # once blamed on the .meta sidecar (here absent), after the whole payload was read
+        cfg = self.one_mag_config(tmp_path)
+        path = tmp_path / "frames_m+1.00.ppf"
+        path.write_bytes(_HEADER.pack(b"PPF1", 1, 1, 0, 2, 1, width, pitch, 0) + bytes(2 * ((width + 7) // 8)))
+        assert cli.main(["estimate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.strip() == f"purephase estimate: error: {path}: {message}"
+
+    @pytest.mark.parametrize("verb, name", [
+        ("predict", "run.cfg"),
+        ("estimate", "frames_m+1.00.ppf.meta"),
+        ("clean", "density_m+1.00.meta"),
+        ("fit", "cleaned_m+1.00.meta"),
+        ("report", "predict_tilt.csv"),
+    ])
+    def test_text_that_is_not_utf8(self, tmp_path, capsys, verb, name):
+        # once a UnicodeDecodeError traceback with exit code 1
+        cfg = self.one_mag_config(tmp_path)
+        for stage in ("simulate", "estimate", "clean", "predict"):
+            assert cli.main([stage, "--config", str(cfg), "--frames", "300"]) == 0
+        path = tmp_path / name
+        path.write_bytes(path.read_bytes() + b"# caf\xff\n")
+        assert cli.main([verb, "--config", str(cfg), "--frames", "300"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"purephase {verb}: error: {path} is not UTF-8 text: byte 0xff (invalid start byte)"
 
     def test_colliding_magnification_tags(self, tmp_path, capsys):
         # 1.004 and 1.0 would both write frames_m+1.00.ppf and the rest of that set

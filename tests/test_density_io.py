@@ -86,6 +86,15 @@ class TestCsvRoundTrip:
         with pytest.raises(DomainError):
             read_density_csv(path)
 
+    def test_text_that_is_not_utf8_rejected(self, rng, tmp_path):
+        # once a UnicodeDecodeError, which the command line does not catch
+        path = tmp_path / "density.csv"
+        write_density_csv(sample_density(rng), path)
+        path.write_bytes(b"# caf\xff\n" + path.read_bytes())
+        with pytest.raises(DomainError) as refused:
+            read_density_csv(path)
+        assert str(refused.value) == f"{path} is not UTF-8 text: byte 0xff (invalid start byte)"
+
 
 class TestNpyRoundTrip:
     @pytest.mark.parametrize("make", [sample_density, sweep_pitch_density], ids=["sample", "sweep_pitch"])
