@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sidecar import _read_lines, read_key_values, write_key_values
+from .sidecar import _read_lines, _write_lines, read_key_values, write_key_values
 from .states import DomainError
 
 __all__ = ["Density2D", "write_density", "read_density", "write_density_csv", "read_density_csv", "write_density_pgm"]
@@ -152,8 +152,7 @@ def write_density_csv(density: Density2D, path, meta: dict | None = None) -> Non
     lines.append(",".join(["xk\\xp"] + [_fmt(v) for v in density.p_axis]))
     for k, row in zip(density.k_axis.tolist(), np.asarray(density.values, dtype=float).tolist()):
         lines.append(",".join(map(repr, [k] + row)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, (line + "\n" for line in lines))
 
 
 def read_density_csv(path) -> Density2D:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .optics import BOTH, FourierLens, apply_element
 from .sidecar import read_key_values, write_key_values
 from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, _require_positive, dg_state
 
@@ -263,12 +264,12 @@ def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -
 def synthesize_farfield(params: DGParams, det: DetectorConfig, n_frames: int, fourier_focal: float, wavelength: float) -> FrameStack:
     """2f Fourier image of the crystal: momentum anti-correlated pair frames.
 
-    Camera coordinate is x = wavelength*f*q/(2*pi); the mapping scale is
+    The source state passes FourierLens(fourier_focal) on both photons, so the
+    camera coordinate is x = wavelength*f*q/(2*pi); that mapping scale is
     recorded in the metadata so the width calibration can invert it.
     """
     scale = wavelength * fourier_focal / (2.0 * math.pi)
-    # momentum-space covariance of the source state, mapped to the camera
-    cov = scale * scale * dg_state(params, wavelength).momentum_covariance()
+    cov = apply_element(dg_state(params, wavelength), FourierLens(fourier_focal, BOTH)).position_covariance()
     meta = {
         "kind": "farfield",
         "sigma_plus_true": params.sigma_plus,

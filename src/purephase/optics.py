@@ -14,8 +14,9 @@ applies a matrix to one photon's axis.  The matrices and sign conventions:
 
 This is the one internally consistent assignment: the state propagated to the
 phase plane carries curvature +1/(2*z_p) per photon, which the virtual-imaging
-lens with object distance u = f - 2*z_p cancels exactly, and the measured
-density cross coefficient comes out as pi*B'/(lam*f_m*M_m*A').
+lens with object distance u = f - 2*z_p cancels exactly.  The measured density
+of the split measurement is this chain too: FourierLens on photon 1 and
+Scale(1/M) on photon 2, applied to the pure phase state.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .states import (
     _require_positive,
     dg_state,
     phase_plane_distance,
+    pure_phase_state,
 )
 
 __all__ = [
@@ -317,25 +319,22 @@ def measurement_quadratic(
     array of them; a scalar gives float coefficients.  For an array kp and pp
     are arrays over it; kk does not depend on the magnification.  A
     magnification whose coefficients are not finite (0, or one whose square
-    underflows or overflows) is refused.
+    underflows or overflows) is refused.  The model is FourierLens on photon 1
+    applied to ``pure_phase_state(scaled)``, then photon 2's Scale(1/M) in
+    closed form over the magnifications: kp / M and pp / M^2.
     """
-    if not (fourier_focal > 0.0):
-        raise DomainError(f"fourier_focal must be positive, got {fourier_focal!r}")
+    form = apply_element(pure_phase_state(scaled, wavelength), FourierLens(fourier_focal, PHOTON_1)).position_form
     # numpy, unlike float, gives inf rather than raising; a scalar stays a scalar
     imaging_mag = np.float64(imaging_mag)
-    a, b = scaled.amp_coeff, scaled.cross_coeff
-    lam_f = wavelength * fourier_focal
-    kk = 2.0 * math.pi**2 / (lam_f * lam_f * a)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        kp = math.pi * b / (lam_f * imaging_mag * a)
+        kp = form.kp / imaging_mag
         # m * m, not m**2: numpy squares a scalar with pow, an array with a product
-        mag2 = imaging_mag * imaging_mag
-        pp = 2.0 * a / mag2 + b * b / (2.0 * mag2 * a)
+        pp = form.pp / (imaging_mag * imaging_mag)
     finite = np.isfinite(kp) & np.isfinite(pp)
     if not finite.all():
         bad = np.extract(~finite, imaging_mag)[0]
         raise DomainError(f"imaging_mag {float(bad)!r} gives non-finite density coefficients")
-    return GaussianForm(kk, _float_if_scalar(kp), _float_if_scalar(pp))
+    return GaussianForm(form.kk, _float_if_scalar(kp), _float_if_scalar(pp))
 
 
 def _float_if_scalar(x):

@@ -30,7 +30,7 @@ from .estimation import (
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
 from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
-from .sidecar import _read_lines, write_key_values
+from .sidecar import _read_lines, _write_lines, write_key_values
 from .states import (
     DGParams,
     DomainError,
@@ -108,6 +108,7 @@ def _detector_for(cfg: RunConfig, quad, stream: int) -> DetectorConfig:
 
 
 def _out(cfg: RunConfig, name: str) -> str:
+    """The path of an artifact to write, creating the output directory; reads join the path alone."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
 
@@ -117,11 +118,9 @@ def _write_report(cfg: RunConfig, name: str, items: dict) -> None:
 
 
 def _write_table(cfg: RunConfig, name: str, header: list[str], rows) -> None:
-    with open(_out(cfg, name), "w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
+    lines = [f"# config_hash={cfg.config_hash()}", ",".join(header)]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    _write_lines(_out(cfg, name), (line + "\n" for line in lines))
 
 
 @contextlib.contextmanager
@@ -276,14 +275,14 @@ def cmd_simulate(cfg: RunConfig) -> dict:
 def cmd_estimate(cfg: RunConfig) -> dict:
     """Cross-frame density estimates from the simulated stacks."""
     for mag in cfg.magnifications:
-        _estimate(cfg, mag, read_framestack(_out(cfg, f"frames_{mag_tag(mag)}.ppf")))
+        _estimate(cfg, mag, read_framestack(os.path.join(cfg.out_dir, f"frames_{mag_tag(mag)}.ppf")))
     return {}
 
 
 def cmd_clean(cfg: RunConfig) -> dict:
     """Statistical cleaning of every estimated density."""
     for mag in cfg.magnifications:
-        _clean(cfg, mag, read_density(_out(cfg, f"density_{mag_tag(mag)}.npy"))[0])
+        _clean(cfg, mag, read_density(os.path.join(cfg.out_dir, f"density_{mag_tag(mag)}.npy"))[0])
     return {}
 
 
@@ -292,9 +291,9 @@ def cmd_fit(cfg: RunConfig) -> dict:
     rows = []
     for mag in cfg.magnifications:
         tag = mag_tag(mag)
-        path = _out(cfg, f"cleaned_{tag}.npy")
+        path = os.path.join(cfg.out_dir, f"cleaned_{tag}.npy")
         if not os.path.exists(path):
-            path = _out(cfg, f"density_{tag}.npy")
+            path = os.path.join(cfg.out_dir, f"density_{tag}.npy")
         rows.append(_fit(cfg, mag, read_density(path)[0], os.path.basename(path)))
     _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)
     return {}
@@ -346,15 +345,13 @@ def cmd_report(cfg: RunConfig) -> dict:
     """
     sections = []
     for name in ("calibrate_report.txt", "sweep_report.txt", "predict_tilt.csv", "fits.csv"):
-        path = _out(cfg, name)
+        path = os.path.join(cfg.out_dir, name)
         if os.path.exists(path):
             sections.append(f"--- {name} ---\n{''.join(_read_lines(path))}")
     exports = [name for name in sorted(os.listdir(cfg.out_dir)) if name.endswith(".npy") and name.startswith(_EXPORTED)]
     for name in exports:
-        dens, extras = read_density(_out(cfg, name))
+        dens, extras = read_density(os.path.join(cfg.out_dir, name))
         write_density_csv(dens, _out(cfg, os.path.splitext(name)[0] + ".csv"), extras)
-    text = f"config_hash={cfg.config_hash()}\n" + "\n".join(sections)
     path = _out(cfg, "report.txt")
-    with open(path, "w") as fh:
-        fh.write(text)
+    _write_lines(path, [f"config_hash={cfg.config_hash()}\n", "\n".join(sections)])
     return {"path": path, "sections": len(sections), "csv_exports": len(exports)}

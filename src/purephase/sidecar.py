@@ -2,8 +2,8 @@
 
 One ``key=value`` line per item, in the order given; values are written with
 ``str``, so floats that must read back exactly are passed as their ``repr``.
-Every text input of the program, sidecar or not, is read through
-``_read_lines``, as UTF-8.
+Every text file of the program, sidecar or not, is read through
+``_read_lines`` and written through ``_write_lines``, as UTF-8.
 """
 from __future__ import annotations
 
@@ -21,10 +21,15 @@ def _read_lines(path) -> list[str]:
         raise DomainError(f"{path} is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})") from None
 
 
+def _write_lines(path, lines) -> None:
+    """Write the strings ``lines``, newlines included, to the text file ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
 def write_key_values(path, items) -> None:
     """Write ``items`` (an iterable of (key, value) pairs) as key=value lines."""
-    with open(path, "w") as fh:
-        fh.writelines(f"{key}={value}\n" for key, value in items)
+    _write_lines(path, (f"{key}={value}\n" for key, value in items))
 
 
 def read_key_values(path) -> dict[str, str]:

@@ -217,12 +217,6 @@ class GaussianBiphotonState:
         """Covariance of (x1, x2) under |psi|^2, i.e. (2 W)^-1."""
         return self.position_form.covariance
 
-    def momentum_covariance(self) -> np.ndarray:
-        """Covariance of (q1, q2): Re M + Im M (Re M)^-1 Im M for a pure Gaussian."""
-        m_re = np.array([[self.m11.real, self.m12.real], [self.m12.real, self.m22.real]])
-        m_im = np.array([[self.m11.imag, self.m12.imag], [self.m12.imag, self.m22.imag]])
-        return m_re + m_im @ np.linalg.inv(m_re) @ m_im
-
     def marginal_position_std(self, photon: int = 1) -> float:
         """Width of one photon's marginal intensity distribution."""
         return self.position_form.marginal_std(_axis(photon))

@@ -624,6 +624,31 @@ class TestCliErrors:
         err = capsys.readouterr().err.strip()
         assert err == f"purephase {verb}: error: {path} is not UTF-8 text: byte 0xff (invalid start byte)"
 
+    def test_text_written_as_utf8_under_the_c_locale(self, tmp_path):
+        # once a UnicodeEncodeError traceback: the writers took the locale's encoding
+        (tmp_path / "predict_tilt.csv").write_bytes("# caf\u00e9\n".encode())
+        write_density(Density2D(np.eye(4), 0.0, 1.0, 0.0, 1.0), tmp_path / "predict_rho_m+1.00.npy", {"note": "caf\u00e9"})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        argv = [sys.executable, "-X", "utf8=0", "-m", "purephase.cli", "report", "--out", str(tmp_path)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "# caf\u00e9\n".encode() in (tmp_path / "report.txt").read_bytes()
+        assert "# note=caf\u00e9\n".encode() in (tmp_path / "predict_rho_m+1.00.csv").read_bytes()
+
+    def test_clean_without_densities_creates_no_directory(self, tmp_path):
+        out = tmp_path / "o6"
+        assert cli.main(["clean", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_report_on_a_missing_directory(self, tmp_path, capsys):
+        # once created the whole path and wrote a report of 0 sections
+        out = tmp_path / "does" / "not" / "exist"
+        assert cli.main(["report", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"purephase report: error: [Errno 2] No such file or directory: {str(out)!r}"
+        assert not (tmp_path / "does").exists()
+
     def test_colliding_magnification_tags(self, tmp_path, capsys):
         # 1.004 and 1.0 would both write frames_m+1.00.ppf and the rest of that set
         assert cli.main(["sweep", "--out", str(tmp_path), "--frames", "300", "--mag=1.0,1.004,2.0"]) == 2

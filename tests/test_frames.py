@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import purephase.frames as frames
 import purephase.pipeline as pl
 from purephase.config import RunConfig
 from purephase.frames import (
@@ -203,6 +204,18 @@ class TestSingleArmStacks:
         stack = synthesize_farfield(paper_dg, det, 200, 15e4, WAVELENGTH)
         scale = stack.metadata["farfield_scale"]
         assert scale == pytest.approx(WAVELENGTH * 15e4 / (2.0 * math.pi), rel=1e-12)
+
+    def test_farfield_covariance_is_scaled_source_momentum(self, paper_dg, monkeypatch):
+        # the source's momentum covariance in closed form: Var(q1 + q2) = 1/sigma_+^2
+        # and Var(q1 - q2) = 1/sigma_-^2
+        plus, minus = paper_dg.sigma_plus**-2, paper_dg.sigma_minus**-2
+        momentum = 0.25 * np.array([[plus + minus, plus - minus], [plus - minus, plus + minus]])
+        drawn = []
+        synthesize = frames._synthesize
+        monkeypatch.setattr(frames, "_synthesize", lambda cov, *rest, **kw: drawn.append(cov) or synthesize(cov, *rest, **kw))
+        det = quiet_detector(pixel_pitch=16.0, width=512, mean_pair_rate=2.0, seed=8)
+        scale = synthesize_farfield(paper_dg, det, 2, 15e4, WAVELENGTH).metadata["farfield_scale"]
+        np.testing.assert_allclose(drawn[0], scale * scale * momentum, rtol=1e-12)
 
     def test_joint_uses_state_covariance(self, paper_dg):
         state = dg_state(paper_dg, WAVELENGTH)

@@ -299,18 +299,17 @@ class TestMeasurementQuadratic:
                 measurement_quadratic(scaled, FM, imaging_mag, WAVELENGTH)
             assert str(info.value) == f"imaging_mag {mag!r} gives non-finite density coefficients"
 
-    def test_state_route_agrees_with_formula_route(self, paper_dg):
-        # propagate the prepared state through the measurement arms and compare
-        design = paper_design(paper_dg)
-        p3 = prepare_p3(paper_dg, WAVELENGTH, design)
-        mag = -0.5
-        measured = apply_chain(p3, [FourierLens(FM, PHOTON_1), Scale(1.0 / mag, PHOTON_2)])
-        w = measured.intensity_form
-        scaled = PurePhaseParams(p3.m11.real, 2.0 * p3.m12.imag)
-        quad = measurement_quadratic(scaled, FM, mag, WAVELENGTH)
-        assert w[0, 0] == pytest.approx(quad.kk, rel=1e-12)
-        assert w[0, 1] == pytest.approx(quad.kp, rel=1e-12)
-        assert w[1, 1] == pytest.approx(quad.pp, rel=1e-12)
+    def test_matches_paper_closed_forms(self, paper_dg):
+        # the chain's coefficients against the paper's closed forms, over the
+        # vectorized model's magnifications
+        scaled = paper_scaled(paper_dg)
+        a, b = scaled.amp_coeff, scaled.cross_coeff
+        mags = TestVectorizedModel.MAGS
+        lam_f = WAVELENGTH * FM
+        quad = measurement_quadratic(scaled, FM, mags, WAVELENGTH)
+        assert quad.kk == pytest.approx(2.0 * math.pi**2 / (lam_f**2 * a), rel=1e-14)
+        assert quad.kp == pytest.approx(math.pi * b / (lam_f * mags * a), rel=1e-14)
+        assert quad.pp == pytest.approx(2.0 * a / mags**2 + b**2 / (2.0 * a * mags**2), rel=1e-14)
 
 
 class TestTiltAngle:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from purephase.optics import PHOTON_1, PHOTON_2, partial_fourier
 from purephase.states import (
     DGParams,
     DomainError,
@@ -183,10 +184,10 @@ class TestMomentumStatistics:
         assert marginal_momentum_width(pp) >= math.sqrt(pp.amp_coeff)
 
     def test_momentum_covariance_matches_closed_form(self, paper_dg):
+        # the one-photon transform on both photons puts the state in (q1, q2)
         pp = pure_phase_params(paper_dg)
-        state = pure_phase_state(pp, WAVELENGTH)
-        from_state = math.sqrt(state.momentum_covariance()[0, 0])
-        assert from_state == pytest.approx(marginal_momentum_width(pp), rel=1e-12)
+        momentum = partial_fourier(partial_fourier(pure_phase_state(pp, WAVELENGTH), PHOTON_1), PHOTON_2)
+        assert momentum.marginal_position_std(1) == pytest.approx(marginal_momentum_width(pp), rel=1e-12)
 
 
 class TestBirthZones:
