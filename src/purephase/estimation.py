@@ -4,29 +4,36 @@ The joint density is the cross-frame correlation estimator: the same-frame
 mean product minus the accidental baseline estimated from the shifted-frame
 product, which is cheap and valid because photon pairs decorrelate from one
 frame to the next (Reichert, Defienne and Fleischer, Sci. Rep. 8, 7925, 2018).
-Every estimate comes from one pass over blocks of B frames that bins the
-same-frame and next-frame count products of pixel pairs (x_k, x_p) by a cell
-map: x_k*W + x_p for the W x W density, the lag x_p - x_k and the sum
-x_k + x_p for the width-calibration profiles.  A block's nonzero pixels, its
-events, come from one np.flatnonzero over its counts, frame by frame.  A
-sparse block, with at most 0.8*B*W such pairs of events (photon-counting
-frames of up to about sqrt(0.4*W) counts), bins its pair list with one
-np.bincount per sum; any other block bins the product of its dense columns.
-Every partial sum is an exact integer in float64, so both kernels give the
-same bytes.  Memory is O(B*W) plus the bins: W^2 for the density, 2W - 1 for
-a profile (a dense block still forms its W x W product).  A Gaussian fit of a
-profile's central peak gives a width: sigma_- from the near-field
-autocorrelation, sigma_+ from the far-field autoconvolution.
+Every estimate comes from one pass over a stack's events, block by block,
+that bins the same-frame and next-frame count products of pixel pairs
+(x_k, x_p) by a cell map: x_k*W + x_p for the W x W density, the lag
+x_p - x_k and the sum x_k + x_p for the width-calibration profiles.  The
+events of a block are its nonzero cells and their counts: as synthesis draws
+them or PPF1 reads them, 256 frames at a time, or, for a dense stack, from
+one np.flatnonzero over each block of _BLOCK_FRAMES frames.  Each block is
+led by the previous block's last frame, carried over as its events, for the
+next-frame pairs across the boundary.  A sparse block, with at most 0.8*B*W
+pairs of events (photon-counting frames of up to about sqrt(0.4*W) counts),
+adds its pair list into the bins in place, so its cost follows its pairs and
+not the W^2 bins; any other block adds the product of its columns, which one
+np.bincount of its events forms, to W x W sums that are binned once at the
+end.  Every partial sum is an exact integer in float64, so both kernels, and
+any cut into blocks, give the same bytes.  Memory is O(B*W) plus the bins,
+W^2 for the density and 2W - 1 for a profile (and the W x W sums once a
+dense block occurs), whatever the frame count.  A
+Gaussian fit of a profile's central peak gives a width: sigma_- from the
+near-field autocorrelation, sigma_+ from the far-field autoconvolution.
 """
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from .density import Density2D
 from .fitting import FitError, fit_gaussian_1d, fit_gaussian_2d
-from .frames import FrameStack
+from .frames import FrameBlock, FrameEvents, FrameStack
 from .states import DomainError
 
 __all__ = [
@@ -39,65 +46,90 @@ __all__ = [
 ]
 
 
-# frames per block of the streamed sums; bounds the column and pair-list temporaries
-_BLOCK_FRAMES = 1024
+# frames per block when the sums read a dense stack, as many as the blocks a
+# stack's events are drawn and read in.  Bounds the column and pair-list
+# temporaries: a photon-counting block's stay at tens of kB, small enough that
+# glibc malloc reuses them from block to block, where 1024-frame blocks' came
+# back as fresh pages that faulted in on every block.
+_BLOCK_FRAMES = 256
 # A block of B frames of W pixels takes the pair list while its pairs number at
-# most _PAIR_LIST_SHARE * B * W.  Measured on 10^4-frame binary stacks in fresh
-# processes (single thread), the pair list stops being faster at about 0.88 B*W
-# on 256 px single-arm stacks, 1.0 at 512 px single-arm, 1.44 at 256 px split and
-# above 1.8 at 512 px split; below 0.8 it is faster on all four.  Any share <= 1
-# also keeps the pair list within the O(B*W) memory of the dense columns.
+# most _PAIR_LIST_SHARE * B * W.  The 0.8 was measured with 1024-frame blocks
+# whose pair lists were binned by a bincount over all W^2 bins, where the pair
+# list stopped being faster at 0.88-1.8 B*W.  With 256-frame blocks summed in
+# place, and the dense products binned once per stack, the pair list is 1.1-1.4x
+# as fast as the dense columns at 1.5 B*W on 256 px and 2x on 512 px, and
+# breaks even at 2.5 B*W on 256 px (10^4-frame binary stacks, single- and
+# dual-arm, best of 5 calls, single thread), so 0.8 is on the safe side.  Any
+# share <= 1 also keeps the pair list within the O(B*W) memory of the dense
+# columns.
 _PAIR_LIST_SHARE = 0.8
 
 
-def _pair_sum(x, weight, k_events, frames, starts, sizes, cell, n_bins) -> np.ndarray:
-    """Sums of weight products over the pairs (k event, p event of its given frame), binned by ``cell``.
+def _pair_sum(out, x, weight, k_events, frames, starts, sizes, cell) -> None:
+    """Add to ``out`` the weight products of the pairs (k event, p event of its given frame), binned by ``cell``.
 
     The p events of frame f are ``starts[f]`` to ``starts[f] + sizes[f]`` of
-    the event list; each k event meets every one of them.
+    the event list; each k event meets every one of them.  The products are
+    added in place, pair by pair, so a block's cost follows its pairs, not
+    the bins.
     """
     reps = sizes[frames]
     k = np.repeat(k_events, reps)
     p = np.repeat(starts[frames] - (np.cumsum(reps) - reps), reps) + np.arange(k.size)
-    return np.bincount(cell(x[k], x[p]), weight[k] * weight[p], minlength=n_bins)
+    np.add.at(out, cell(x[k], x[p]), weight[k] * weight[p])
 
 
-def _binned_pair_sums(stack: FrameStack, cell, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _blocks(stack: FrameStack | FrameEvents) -> Iterator[FrameBlock]:
+    """The stack's events block by block: a dense stack is scanned _BLOCK_FRAMES frames at a time."""
+    if isinstance(stack, FrameEvents):
+        return stack.blocks
+    counts = stack.counts
+    return (FrameBlock.of(start, counts[start : start + _BLOCK_FRAMES]) for start in range(0, stack.n_frames, _BLOCK_FRAMES))
+
+
+def _binned_pair_sums(stack: FrameStack | FrameEvents, cell, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(same-frame, next-frame, self-pair) count products of a stack, summed into ``n_bins`` bins.
 
     Pair (x_k of arm k, x_p of arm p) goes to bin ``cell(x_k, x_p)``; a single
     arm's count c adds c, its photon-with-itself part of c^2, at ``cell(x, x)``.
-    Each block is led by the previous block's last frame, which enters its
-    next-frame pairs only.  A block whose own pairs of nonzero pixels ("events")
-    number at most ``_PAIR_LIST_SHARE``*B*W bins its pair list, any other block
-    the products of its dense float64 columns.
+    The sums take the stack's events one block at a time.  Each block is led
+    by the previous block's last frame, carried over as its events, which
+    enters the block's next-frame pairs only.  A block whose own pairs of
+    events number at most ``_PAIR_LIST_SHARE``*B*W bins its pair list, any
+    other block the products of its float64 columns.
     """
     n = stack.n_frames
     if n < 2:
         raise DomainError("pair estimation needs at least 2 frames")
-    _, arms, height, width = stack.counts.shape
+    arms, height, width = stack.arms, stack.detector.height, stack.detector.width
+    frame_cells = arms * height * width
     same, shifted, self_pairs = np.zeros((3, n_bins))
-    for start in range(0, n, _BLOCK_FRAMES):
-        lead = min(start, 1)
-        block = stack.counts[start - lead : start + _BLOCK_FRAMES]
-        b = block.shape[0]
-        flat = block.reshape(-1)
-        idx = np.flatnonzero(flat != 0)  # frame-major, arm k before arm p
-        weight = flat[idx].astype(np.float64)
+    carried = carried_counts = np.zeros(0, dtype=np.int64)  # the previous block's last frame
+    products = None  # the (same, next)-frame W x W column products of the dense blocks, binned at the end
+    for block in _blocks(stack):
+        kept = block.shape[0]
+        lead = min(block.first, 1)
+        idx = np.concatenate([carried, block.cells + lead * frame_cells])  # frame-major, arm k before arm p
+        weight = np.concatenate([carried_counts, block.counts]).astype(np.float64)
+        last = np.searchsorted(block.cells, (kept - 1) * frame_cells)
+        carried, carried_counts = block.cells[last:] - (kept - 1) * frame_cells, block.counts[last:]
+        b = kept + lead
         x = idx % width
         frame, arm = np.divmod(idx // (height * width), arms)
         sizes = np.bincount(frame * arms + arm, minlength=b * arms).reshape(b, arms)  # events per frame and arm
         nk, n_p = sizes[:, 0], sizes[:, -1]
         if not stack.dual_arm:
             first = n_p[:lead].sum()
-            self_pairs += np.bincount(cell(x[first:], x[first:]), weight[first:], minlength=n_bins)
+            np.add.at(self_pairs, cell(x[first:], x[first:]), weight[first:])
         # the lead frame's pairs, at most H*W per event of the first frame, are not counted
-        if nk[lead:] @ n_p[lead:] + nk[lead:-1] @ n_p[lead + 1 :] > _PAIR_LIST_SHARE * (b - lead) * width:
-            columns = block.sum(axis=2, dtype=np.float64)
+        if nk[lead:] @ n_p[lead:] + nk[lead:-1] @ n_p[lead + 1 :] > _PAIR_LIST_SHARE * kept * width:
+            columns = np.bincount((frame * arms + arm) * width + x, weight, minlength=b * arms * width)
+            columns = columns.reshape(b, arms, width)
             ck, cp = columns[:, 0], columns[:, -1]  # a single arm pairs with itself
-            cells = cell(*np.ogrid[:width, :width]).ravel()
-            same += np.bincount(cells, (ck[lead:].T @ cp[lead:]).ravel(), minlength=n_bins)
-            shifted += np.bincount(cells, (ck[:-1].T @ cp[1:]).ravel(), minlength=n_bins)
+            if products is None:
+                products = np.zeros((2, width, width))
+            products[0] += ck[lead:].T @ cp[lead:]
+            products[1] += ck[:-1].T @ cp[1:]
         else:
             k_events = np.flatnonzero(arm == 0)
             fk = frame[k_events]
@@ -105,12 +137,16 @@ def _binned_pair_sums(stack: FrameStack, cell, n_bins: int) -> tuple[np.ndarray,
             # first p event of each frame; frame b holds none, so the last frame has no next-frame pairs
             starts = np.append(np.cumsum(sizes).reshape(b, arms)[:, -1] - n_p, 0)
             sizes_p = np.append(n_p, 0)
-            same += _pair_sum(x, weight, k_events[own], fk[own], starts, sizes_p, cell, n_bins)
-            shifted += _pair_sum(x, weight, k_events, fk + 1, starts, sizes_p, cell, n_bins)
+            _pair_sum(same, x, weight, k_events[own], fk[own], starts, sizes_p, cell)
+            _pair_sum(shifted, x, weight, k_events, fk + 1, starts, sizes_p, cell)
+    if products is not None:
+        cells = cell(*np.ogrid[:width, :width]).ravel()
+        same += np.bincount(cells, products[0].ravel(), minlength=n_bins)
+        shifted += np.bincount(cells, products[1].ravel(), minlength=n_bins)
     return same, shifted, self_pairs
 
 
-def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
+def estimate_density(stack: FrameStack | FrameEvents, normalize: bool = True) -> Density2D:
     """Cross-frame correlation estimate of the joint density, from pair sums binned by cell x_k*W + x_p.
 
     For a single-detector stack both axes are the same arm and the exact
@@ -133,7 +169,7 @@ def estimate_density(stack: FrameStack, normalize: bool = True) -> Density2D:
     return density
 
 
-def _pair_profile(stack: FrameStack, cell) -> np.ndarray:
+def _pair_profile(stack: FrameStack | FrameEvents, cell) -> np.ndarray:
     """Accidental- and self-pair-subtracted pair counts of one arm in 2W - 1 bins given by ``cell``."""
     if stack.dual_arm:
         raise DomainError("width calibration expects a single-detector stack")
@@ -142,14 +178,14 @@ def _pair_profile(stack: FrameStack, cell) -> np.ndarray:
     return (same - self_pairs) - shifted * (n / (n - 1))
 
 
-def autocorrelation_profile(stack: FrameStack) -> tuple[np.ndarray, np.ndarray]:
+def autocorrelation_profile(stack: FrameStack | FrameEvents) -> tuple[np.ndarray, np.ndarray]:
     """(lag_um, signal): pair counts binned by lag x_p - x_k."""
     width = stack.detector.width
     signal = _pair_profile(stack, lambda xk, xp: xp - xk + (width - 1))
     return np.arange(1 - width, width) * stack.detector.pixel_pitch, signal
 
 
-def autoconvolution_profile(stack: FrameStack) -> tuple[np.ndarray, np.ndarray]:
+def autoconvolution_profile(stack: FrameStack | FrameEvents) -> tuple[np.ndarray, np.ndarray]:
     """(sum_coordinate_um, signal): pair counts binned by sum x_k + x_p."""
     signal = _pair_profile(stack, np.add)
     pitch = stack.detector.pixel_pitch

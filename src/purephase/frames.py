@@ -8,11 +8,15 @@ accidental background the cleaning stage exists to remove).  Detector physics
 is reduced to pixel binning, optional uniform dark counts, and optional
 clipping to binary photon-counting frames.
 
-A stack is one uint8 count array, (frames, arms, height, width): one arm
-for single-detector stacks, two (k, then p) for the split measurement.
-Synthesis builds it, the estimator reads both arms from it at once and PPF1
-writes it as it lies in memory.  Split and single-arm stacks come from one
-kernel.
+Frames have the layout (frames, arms, height, width): one arm for
+single-detector stacks, two (k, then p) for the split measurement.  One
+kernel draws split and single-arm stacks, one block of 256 frames at a time,
+and hands each block on as its events: the sorted flat indices of its nonzero
+cells and their uint8 counts (``FrameBlock``).  A ``FrameEvents`` is a stack
+as that one-pass stream of blocks; the estimator sums pairs from it and PPF1
+writes it block by block, so neither holds more than a block of frames.  A
+``FrameStack`` is the dense uint8 count array, assembled from the same blocks
+by the ``synthesize_*`` entry points and by ``read_framestack``.
 
 Determinism: a stack draws from Philox4x64 keyed by (seed mod 2^64,
 stream), one block of 256 frames at a time, block b from counter
@@ -30,6 +34,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,14 +44,21 @@ from .states import DGParams, DomainError, GaussianBiphotonState, GaussianForm, 
 
 __all__ = [
     "DetectorConfig",
+    "FrameBlock",
+    "FrameEvents",
     "FrameStack",
     "OccupancyWarning",
     "synthesize_frames",
     "synthesize_joint",
     "synthesize_nearfield",
     "synthesize_farfield",
+    "frame_events",
+    "nearfield_events",
+    "farfield_events",
     "write_framestack",
+    "tee_framestack",
     "read_framestack",
+    "read_events",
 ]
 
 _MAGIC = b"PPF1"
@@ -94,8 +106,20 @@ class DetectorConfig:
         return self.height > 1
 
 
+class _Frames:
+    """What a dense stack and its events share: the camera's ``detector`` and ``arms``."""
+
+    @property
+    def dual_arm(self) -> bool:
+        return self.arms == 2
+
+    def pixel_centers(self) -> np.ndarray:
+        w = self.detector.width
+        return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
+
+
 @dataclass
-class FrameStack:
+class FrameStack(_Frames):
     """Per-frame count images of one arm, or of arms k and p of the split measurement."""
 
     counts: np.ndarray  # (n_frames, arms, height, width) uint8
@@ -107,8 +131,8 @@ class FrameStack:
         return self.counts.shape[0]
 
     @property
-    def dual_arm(self) -> bool:
-        return self.counts.shape[1] == 2
+    def arms(self) -> int:
+        return self.counts.shape[1]
 
     @property
     def arm_k(self) -> np.ndarray:
@@ -118,9 +142,46 @@ class FrameStack:
     def arm_p(self) -> np.ndarray | None:
         return self.counts[:, 1] if self.dual_arm else None
 
-    def pixel_centers(self) -> np.ndarray:
-        w = self.detector.width
-        return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
+
+class FrameBlock(NamedTuple):
+    """The nonzero cells of consecutive frames of a stack, the first of them frame ``first``."""
+
+    first: int
+    shape: tuple  # (frames, arms, height, width) of the block
+    cells: np.ndarray  # sorted flat indices into that shape, int64
+    counts: np.ndarray  # the count of each cell, uint8
+
+    @classmethod
+    def of(cls, first: int, counts: np.ndarray) -> FrameBlock:
+        """The events of dense count frames (frames, arms, height, width) that start at frame ``first``."""
+        flat = counts.reshape(-1)
+        cells = np.flatnonzero(flat != 0)  # several times faster over a bool mask than over the counts
+        return cls(first, counts.shape, cells, flat[cells])
+
+    def dense(self) -> np.ndarray:
+        counts = np.zeros(self.shape, dtype=np.uint8)
+        counts.reshape(-1)[self.cells] = self.counts
+        return counts
+
+
+@dataclass
+class FrameEvents(_Frames):
+    """A stack as its blocks of events in frame order, drawn or read as ``blocks`` is iterated, once."""
+
+    detector: DetectorConfig
+    n_frames: int
+    arms: int
+    metadata: dict  # a synthesized split stack adds its pair and split totals after its last block
+    blocks: Iterator[FrameBlock]
+
+    def stack(self) -> FrameStack:
+        """The dense stack, assembled block by block."""
+        det = self.detector
+        counts = np.zeros((self.n_frames, self.arms, det.height, det.width), dtype=np.uint8)
+        frame_cells = self.arms * det.height * det.width
+        for block in self.blocks:
+            counts.reshape(-1)[block.first * frame_cells + block.cells] = block.counts
+        return FrameStack(counts, det, self.metadata)
 
 
 def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> None:
@@ -150,7 +211,7 @@ def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> No
                 f"mean occupancy {occupancy:.3g} above the photon-counting "
                 "regime (<= 0.15 counts/pixel/frame)",
                 OccupancyWarning,
-                stacklevel=4,  # past _synthesize and the synthesize_* entry point
+                stacklevel=4,  # past _events and the public entry point that called it
             )
 
 
@@ -159,8 +220,8 @@ def _check_occupancy(det: DetectorConfig, sigmas: np.ndarray, split: bool) -> No
 _STREAM_BLOCK_FRAMES = 256
 
 
-def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: dict, split: bool) -> FrameStack:
-    """Stack of count images (n_frames, arms, height, width) uint8 carrying ``metadata``.
+def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: dict, split: bool) -> Iterator[FrameBlock]:
+    """Blocks of count images (n_frames, arms, height, width) uint8, as events.
 
     Each frame takes Poisson(mean_pair_rate) coordinate pairs drawn from the
     2x2 covariance.  With ``split`` there are two arms: a pair splits when its
@@ -175,18 +236,16 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
     p), and the marginal normals, then with dark counts a binomial number of
     dark cells and the cells themselves, sampled without replacement.  Every
     block is drawn whole and the last one keeps only the frames asked for, so
-    a stack is a prefix of any longer stack with the same key.  Split stacks
-    add their pair and split totals over the kept frames to the metadata.
+    a stack is a prefix of any longer stack with the same key.  Once the last
+    block is handed on, split stacks add their pair and split totals over the
+    kept frames to the metadata.
     """
-    if n_frames < 1:
-        raise DomainError("n_frames must be >= 1")
     sigmas = np.sqrt(np.diag(cov))
-    _check_occupancy(det, sigmas, split)
     chol = np.linalg.cholesky(cov)
     arms = 2 if split else 1
     dims = 2 if det.two_d else 1
-    images = np.zeros((n_frames, arms, det.height, det.width), dtype=np.uint8)
     frame_cells = arms * det.height * det.width
+    cap = 1 if det.clip_to_binary else 255
     n_pairs_total = 0
     n_split_total = 0
     # a new Philox seeds a SeedSequence from OS entropy; the stack builds one
@@ -220,12 +279,55 @@ def _synthesize(cov: np.ndarray, det: DetectorConfig, n_frames: int, metadata: d
             cells = _STREAM_BLOCK_FRAMES * frame_cells
             dark = rng.choice(cells, rng.binomial(cells, det.dark_count_prob), replace=False, shuffle=False)
             hits = np.concatenate([hits, dark[dark < kept * frame_cells]])
-        # counts are sparse: write only the cells that hold one
         cell, count = np.unique(hits, return_counts=True)
-        images.reshape(-1)[start * frame_cells + cell] = np.minimum(count, 1 if det.clip_to_binary else 255)
+        yield FrameBlock(start, (kept, arms, det.height, det.width), cell, np.minimum(count, cap).astype(np.uint8))
     if split:
         metadata.update(n_pairs_total=n_pairs_total, n_split_total=n_split_total)
-    return FrameStack(images, det, metadata)
+
+
+def _events(source: tuple[np.ndarray, dict], det: DetectorConfig, n_frames: int, split: bool) -> FrameEvents:
+    """The events of a stack drawn from a (covariance, metadata) source.
+
+    Its length and occupancy are checked here, before any block is drawn, so
+    each public entry point calls this directly and the occupancy warning
+    names that entry point's caller.
+    """
+    cov, metadata = source
+    if n_frames < 1:
+        raise DomainError("n_frames must be >= 1")
+    _check_occupancy(det, np.sqrt(np.diag(cov)), split)
+    return FrameEvents(det, n_frames, 2 if split else 1, metadata, _synthesize(cov, det, n_frames, metadata, split))
+
+
+def _split_source(quad: GaussianForm) -> tuple[np.ndarray, dict]:
+    return quad.covariance, {"kind": "split_measurement", "quad_kk": quad.kk, "quad_kp": quad.kp, "quad_pp": quad.pp}
+
+
+def _nearfield_source(params: DGParams) -> tuple[np.ndarray, dict]:
+    cov = dg_state(params, 1.0).position_covariance()  # wavelength does not enter the position density
+    return cov, {
+        "kind": "nearfield",
+        "cov_11": cov[0, 0],
+        "cov_12": cov[0, 1],
+        "cov_22": cov[1, 1],
+        "sigma_plus_true": params.sigma_plus,
+        "sigma_minus_true": params.sigma_minus,
+    }
+
+
+def _farfield_source(params: DGParams, fourier_focal: float, wavelength: float) -> tuple[np.ndarray, dict]:
+    cov = apply_element(dg_state(params, wavelength), FourierLens(fourier_focal, BOTH)).position_covariance()
+    return cov, {
+        "kind": "farfield",
+        "sigma_plus_true": params.sigma_plus,
+        "sigma_minus_true": params.sigma_minus,
+        "farfield_scale": wavelength * fourier_focal / (2.0 * math.pi),
+    }
+
+
+def frame_events(quad: GaussianForm, det: DetectorConfig, n_frames: int) -> FrameEvents:
+    """The stack ``synthesize_frames`` returns, as its events."""
+    return _events(_split_source(quad), det, n_frames, split=True)
 
 
 def synthesize_frames(quad: GaussianForm, det: DetectorConfig, n_frames: int) -> FrameStack:
@@ -236,29 +338,29 @@ def synthesize_frames(quad: GaussianForm, det: DetectorConfig, n_frames: int) ->
     otherwise both photons fall into one arm as two independent
     marginal-distributed counts.
     """
-    meta = {"kind": "split_measurement", "quad_kk": quad.kk, "quad_kp": quad.kp, "quad_pp": quad.pp}
-    return _synthesize(quad.covariance, det, n_frames, meta, split=True)
+    return _events(_split_source(quad), det, n_frames, split=True).stack()
 
 
 def synthesize_joint(state: GaussianBiphotonState, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Photon-pair frames of |psi(x1, x2)|^2 on a single detector."""
     cov = state.position_covariance()
     meta = {"kind": "joint_position", "cov_11": cov[0, 0], "cov_12": cov[0, 1], "cov_22": cov[1, 1]}
-    return _synthesize(cov, det, n_frames, meta, split=False)
+    return _events((cov, meta), det, n_frames, split=False).stack()
+
+
+def nearfield_events(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameEvents:
+    """The stack ``synthesize_nearfield`` returns, as its events."""
+    return _events(_nearfield_source(params), det, n_frames, split=False)
 
 
 def synthesize_nearfield(params: DGParams, det: DetectorConfig, n_frames: int) -> FrameStack:
     """Image of the crystal plane: position-correlated pair frames."""
-    cov = dg_state(params, 1.0).position_covariance()  # wavelength does not enter the position density
-    meta = {
-        "kind": "nearfield",
-        "cov_11": cov[0, 0],
-        "cov_12": cov[0, 1],
-        "cov_22": cov[1, 1],
-        "sigma_plus_true": params.sigma_plus,
-        "sigma_minus_true": params.sigma_minus,
-    }
-    return _synthesize(cov, det, n_frames, meta, split=False)
+    return _events(_nearfield_source(params), det, n_frames, split=False).stack()
+
+
+def farfield_events(params: DGParams, det: DetectorConfig, n_frames: int, fourier_focal: float, wavelength: float) -> FrameEvents:
+    """The stack ``synthesize_farfield`` returns, as its events."""
+    return _events(_farfield_source(params, fourier_focal, wavelength), det, n_frames, split=False)
 
 
 def synthesize_farfield(params: DGParams, det: DetectorConfig, n_frames: int, fourier_focal: float, wavelength: float) -> FrameStack:
@@ -268,46 +370,38 @@ def synthesize_farfield(params: DGParams, det: DetectorConfig, n_frames: int, fo
     camera coordinate is x = wavelength*f*q/(2*pi); that mapping scale is
     recorded in the metadata so the width calibration can invert it.
     """
-    scale = wavelength * fourier_focal / (2.0 * math.pi)
-    cov = apply_element(dg_state(params, wavelength), FourierLens(fourier_focal, BOTH)).position_covariance()
-    meta = {
-        "kind": "farfield",
-        "sigma_plus_true": params.sigma_plus,
-        "sigma_minus_true": params.sigma_minus,
-        "farfield_scale": scale,
-    }
-    return _synthesize(cov, det, n_frames, meta, split=False)
+    return _events(_farfield_source(params, fourier_focal, wavelength), det, n_frames, split=False).stack()
 
 
 # ---------------------------------------------------------------------------
 # PPF1 file format
 
 
-def write_framestack(stack: FrameStack, path) -> None:
-    """Little-endian binary: magic, header, then frames (bit-packed if binary)."""
-    det = stack.detector
-    if max(det.height, det.width) > PPF1_MAX_PX or stack.n_frames > PPF1_MAX_FRAMES:
+def _ppf1_blocks(path, det: DetectorConfig, n_frames: int, arms: int, metadata: dict, blocks, dense) -> Iterator:
+    """Write a PPF1 file block by block, handing on each block once its frames are written.
+
+    Little-endian binary: magic, header, then frames, each frame of each arm
+    bit-packed if binary and padded to whole bytes on its own, so the bytes do
+    not depend on how the frames are cut into blocks.  ``dense`` gives a
+    block's (frames, arms, height, width) counts.  The sidecar follows the
+    last block, with the metadata as it stands then.
+    """
+    if max(det.height, det.width) > PPF1_MAX_PX or n_frames > PPF1_MAX_FRAMES:
         raise DomainError(
             f"PPF1 holds at most {PPF1_MAX_FRAMES} frames of at most {PPF1_MAX_PX} px a side, "
-            f"got {stack.n_frames} frames of {det.height} x {det.width} px"
+            f"got {n_frames} frames of {det.height} x {det.width} px"
         )
-    flags = 0
-    if det.clip_to_binary:
-        flags |= _FLAG_BINARY
-    if stack.dual_arm:
-        flags |= _FLAG_DUAL_ARM
-    header = _HEADER.pack(
-        _MAGIC, 1, flags, 0, stack.n_frames, det.height, det.width, det.pixel_pitch, det.seed
-    )
-    frames = np.ascontiguousarray(stack.counts, dtype=np.uint8)
-    frames = frames.reshape(frames.shape[:2] + (det.height * det.width,))
-    # each frame of each arm is packed (and padded to whole bytes) on its own
-    payload = np.packbits(frames, axis=2) if det.clip_to_binary else frames
+    flags = (_FLAG_BINARY if det.clip_to_binary else 0) | (_FLAG_DUAL_ARM if arms == 2 else 0)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)  # through the buffer protocol, without a bytes copy
+        fh.write(_HEADER.pack(_MAGIC, 1, flags, 0, n_frames, det.height, det.width, det.pixel_pitch, det.seed))
+        for block in blocks:
+            frames = np.ascontiguousarray(dense(block), dtype=np.uint8)
+            frames = frames.reshape(frames.shape[:2] + (det.height * det.width,))
+            # through the buffer protocol, without a bytes copy
+            fh.write(np.packbits(frames, axis=2) if det.clip_to_binary else frames)
+            yield block
     write_key_values(str(path) + ".meta", [
-        *((key, stack.metadata[key]) for key in sorted(stack.metadata)),
+        *((key, metadata[key]) for key in sorted(metadata)),
         ("mean_pair_rate", det.mean_pair_rate),
         ("dark_count_prob", det.dark_count_prob),
         ("keep_unsplit", int(det.keep_unsplit)),
@@ -315,7 +409,24 @@ def write_framestack(stack: FrameStack, path) -> None:
     ])
 
 
-def read_framestack(path) -> FrameStack:
+def write_framestack(stack: FrameStack, path) -> None:
+    """Write a dense stack as a PPF1 file and its ``.meta`` sidecar, packing the whole stack at once."""
+    for _ in _ppf1_blocks(path, stack.detector, stack.n_frames, stack.arms, stack.metadata, [stack.counts], lambda counts: counts):
+        pass
+
+
+def tee_framestack(events: FrameEvents, path) -> FrameEvents:
+    """The same events, written to a PPF1 file at ``path`` as they pass; the file is whole once they are drained."""
+    written = _ppf1_blocks(path, events.detector, events.n_frames, events.arms, events.metadata, events.blocks, FrameBlock.dense)
+    return replace(events, blocks=written)
+
+
+def read_events(path) -> FrameEvents:
+    """A PPF1 stack's events, read 256 frames at a time as they are iterated.
+
+    The header, the payload's size and the sidecar are checked before any
+    frame is read.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -330,23 +441,14 @@ def read_framestack(path) -> FrameStack:
             geometry = DetectorConfig(pixel_pitch=pitch, width=width, height=height, clip_to_binary=binary, seed=seed)
         except DomainError as exc:
             raise DomainError(f"{path}: {exc}") from None
-        dual = bool(flags & _FLAG_DUAL_ARM)
-        n_arms = 2 if dual else 1
-        px = height * width
-        frame_bytes = (px + 7) // 8 if binary else px
+        n_arms = 2 if flags & _FLAG_DUAL_ARM else 1
+        frame_bytes = (height * width + 7) // 8 if binary else height * width
         size = n_frames * n_arms * frame_bytes
         held = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if held != size:  # checked before allocating: a corrupt frame count can imply terabytes
+        if held != size:  # checked before reading: a corrupt frame count can imply terabytes
             raise DomainError(
                 f"{path} is truncated or corrupt: it holds {held} payload bytes, its header implies {size}"
             )
-        raw = bytearray(size)  # writable, so the counts are too
-        if fh.readinto(raw) != size:
-            raise DomainError(f"{path} is truncated")
-    frames = np.frombuffer(raw, dtype=np.uint8).reshape(n_frames, n_arms, frame_bytes)
-    if binary:
-        frames = np.unpackbits(frames, axis=2, count=px)
-    frames = frames.reshape(n_frames, n_arms, height, width)
     meta_path = str(path) + ".meta"
     try:
         metadata = read_key_values(meta_path)
@@ -363,4 +465,24 @@ def read_framestack(path) -> FrameStack:
         )
     except ValueError as exc:
         raise DomainError(f"{meta_path}: {exc}") from None
-    return FrameStack(frames, det, metadata)
+    return FrameEvents(det, n_frames, n_arms, metadata, _read_blocks(path, det, n_frames, n_arms, frame_bytes))
+
+
+def _read_blocks(path, det: DetectorConfig, n_frames: int, arms: int, frame_bytes: int) -> Iterator[FrameBlock]:
+    """The events of a PPF1 payload, ``frame_bytes`` per arm of a frame."""
+    with open(path, "rb") as fh:
+        fh.seek(_HEADER.size)
+        for first in range(0, n_frames, _STREAM_BLOCK_FRAMES):
+            frames = min(n_frames - first, _STREAM_BLOCK_FRAMES)
+            raw = fh.read(frames * arms * frame_bytes)
+            if len(raw) != frames * arms * frame_bytes:
+                raise DomainError(f"{path} is truncated")
+            counts = np.frombuffer(raw, dtype=np.uint8).reshape(frames, arms, frame_bytes)
+            if det.clip_to_binary:
+                counts = np.unpackbits(counts, axis=2, count=det.height * det.width)
+            yield FrameBlock.of(first, counts.reshape(frames, arms, det.height, det.width))
+
+
+def read_framestack(path) -> FrameStack:
+    """A PPF1 stack, dense: its events assembled block by block."""
+    return read_events(path).stack()

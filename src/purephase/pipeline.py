@@ -2,11 +2,14 @@
 
 Each magnification passes through four stages (simulate, estimate, clean,
 fit); each stage writes its PPF1/.npy/PGM/key=value artifacts and returns its
-result.  The single-stage verbs compose through files: each reads the
-previous stage's artifact from the output directory.  ``sweep`` chains the
-same stages in memory, one magnification at a time, and writes the same
-artifacts.  Deleting intermediates and re-running regenerates byte-identical
-results for a fixed configuration and seed.
+result.  Frames pass between stages as events, one block at a time: simulate
+hands on its blocks as it writes them to PPF1, and estimate sums their pairs
+as they come, so no stage holds a whole stack.  The single-stage verbs
+compose through files: each reads the previous stage's artifact from the
+output directory.  ``sweep`` chains the same stages in memory, one
+magnification at a time, and writes the same artifacts.  Deleting
+intermediates and re-running regenerates byte-identical results for a fixed
+configuration and seed.
 """
 from __future__ import annotations
 
@@ -28,7 +31,9 @@ from .estimation import (
     estimate_density,
 )
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
-from .frames import DetectorConfig, FrameStack, read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
+from .frames import DetectorConfig, FrameEvents, farfield_events, frame_events, nearfield_events, read_events, tee_framestack
+# the dense-stack functions stay bound here only because the benchmark's tracer wraps them under these names
+from .frames import read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
 from .sidecar import _read_lines, _write_lines, write_key_values
 from .states import (
@@ -144,13 +149,17 @@ def _write_density(cfg: RunConfig, dens: Density2D, name: str) -> Density2D:
 
 
 def cmd_calibrate(cfg: RunConfig) -> dict:
-    """Synthesize near/far-field stacks and estimate the source widths."""
+    """Synthesize near/far-field stacks and estimate the source widths.
+
+    Each profile sums the pairs of its stack block by block as the blocks are
+    drawn, so no stack is held.
+    """
     params = source_params(cfg)
     # single-arm synthesis never reads keep_unsplit, and calibrate writes no stack
     near_det = _camera(cfg, cfg.near_pitch_um, cfg.calib_width_px, 1, cfg.calib_rate, _STREAM_NEAR)
     far_det = _camera(cfg, cfg.far_pitch_um, cfg.calib_width_px, 1, cfg.calib_rate, _STREAM_FAR)
-    near = synthesize_nearfield(params, near_det, cfg.calib_frames)
-    far = synthesize_farfield(params, far_det, cfg.calib_frames, cfg.fm_um, cfg.wavelength_um)
+    near = nearfield_events(params, near_det, cfg.calib_frames)
+    far = farfield_events(params, far_det, cfg.calib_frames, cfg.fm_um, cfg.wavelength_um)
 
     lags, acorr = autocorrelation_profile(near)
     coords, aconv = autoconvolution_profile(far)
@@ -211,13 +220,14 @@ def cmd_predict(cfg: RunConfig) -> dict:
 # per-magnification stages: each writes its verb's artifacts and returns its result
 
 
-def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
+def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameEvents:
+    """The magnification's frame events, each block written to frames_<tag>.ppf as it is drawn."""
     quad = quad_for(cfg, mag)
     det = _detector_for(cfg, quad, index + 1)
     with _naming(mag):
-        stack = synthesize_frames(quad, det, cfg.frames)
+        events = frame_events(quad, det, cfg.frames)
     scaled = scaled_params(cfg)
-    stack.metadata.update(
+    events.metadata.update(
         amp_coeff=scaled.amp_coeff,
         cross_coeff=scaled.cross_coeff,
         magnification=mag,
@@ -226,12 +236,11 @@ def _simulate(cfg: RunConfig, index: int, mag: float) -> FrameStack:
         theta_pred_deg=tilt_angle(quad),
         config_hash=cfg.config_hash(),
     )
-    write_framestack(stack, _out(cfg, f"frames_{mag_tag(mag)}.ppf"))
-    return stack
+    return tee_framestack(events, _out(cfg, f"frames_{mag_tag(mag)}.ppf"))
 
 
-def _estimate(cfg: RunConfig, mag: float, stack: FrameStack) -> Density2D:
-    return _write_density(cfg, estimate_density(stack), f"density_{mag_tag(mag)}")
+def _estimate(cfg: RunConfig, mag: float, events: FrameEvents) -> Density2D:
+    return _write_density(cfg, estimate_density(events), f"density_{mag_tag(mag)}")
 
 
 def _clean(cfg: RunConfig, mag: float, dens: Density2D) -> Density2D:
@@ -268,14 +277,15 @@ def _fit(cfg: RunConfig, mag: float, dens: Density2D, source: str) -> list:
 def cmd_simulate(cfg: RunConfig) -> dict:
     """Synthesize measurement frame stacks, one PPF1 file per magnification."""
     for i, mag in enumerate(cfg.magnifications):
-        _simulate(cfg, i, mag)
+        for _ in _simulate(cfg, i, mag).blocks:  # each block is written as it is drawn
+            pass
     return {}
 
 
 def cmd_estimate(cfg: RunConfig) -> dict:
     """Cross-frame density estimates from the simulated stacks."""
     for mag in cfg.magnifications:
-        _estimate(cfg, mag, read_framestack(os.path.join(cfg.out_dir, f"frames_{mag_tag(mag)}.ppf")))
+        _estimate(cfg, mag, read_events(os.path.join(cfg.out_dir, f"frames_{mag_tag(mag)}.ppf")))
     return {}
 
 
@@ -327,7 +337,7 @@ def cmd_sweep(cfg: RunConfig) -> dict:
         raise DomainError(f"sweep fits mag_eff to at least 3 magnifications, got {len(cfg.magnifications)}")
     rows = []
     for i, mag in enumerate(cfg.magnifications):
-        # nested, so each stack is freed once its density is estimated
+        # the frames pass from synthesis through the PPF1 file into the pair sums one block at a time
         dens = _clean(cfg, mag, _estimate(cfg, mag, _simulate(cfg, i, mag)))
         rows.append(_fit(cfg, mag, dens, f"cleaned_{mag_tag(mag)}.npy"))
     _write_table(cfg, "fits.csv", _FIT_COLUMNS, rows)

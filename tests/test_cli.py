@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from purephase import cli
 from purephase.config import RunConfig, config_from_file, parse_config_file
 from purephase.density import Density2D, read_density, read_density_csv, write_density, write_density_csv
 from purephase.fitting import fit_gaussian_2d
-from purephase.frames import _HEADER, read_framestack, write_framestack
+from purephase.frames import _HEADER, read_framestack
 from purephase.states import DomainError
 from conftest import assert_exp_floor_moves_no_fit, marginal_cutoffs
 
@@ -290,6 +291,7 @@ class TestSweepStages:
             raise AssertionError(f"sweep read back {path}")
 
         monkeypatch.setattr(pl, "read_framestack", no_read_back)
+        monkeypatch.setattr(pl, "read_events", no_read_back)
         monkeypatch.setattr(pl, "read_density", no_read_back)
         sweep = pl.cmd_sweep(RunConfig(out_dir=str(tmp_path / "sweep"), **SMOKE))
         assert len(sweep["rows"]) == len(SMOKE["magnifications"])
@@ -439,29 +441,56 @@ def test_artifacts_do_not_depend_on_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_every_stack_has_its_own_key(tmp_path, monkeypatch):
-    # one sweep and one calibrate at one seed: the PPF1 header and sidecar of each stack
-    # record a (seed, stream) key that no other stack shares
-    made = []
+class TestStreamingMemory:
+    """No verb holds a whole stack: the traced peak does not grow with the frame count."""
 
-    def spy(synthesize):
+    @staticmethod
+    def traced_peaks(command, tmp_path, key, counts, **settings) -> list[int]:
+        command(RunConfig(out_dir=str(tmp_path / "warm-up"), **{key: 300}, **settings))  # fills the caches
+        peaks = []
+        for n in counts:
+            cfg = RunConfig(out_dir=str(tmp_path / str(n)), **{key: n}, **settings)
+            tracemalloc.start()
+            try:
+                command(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
+
+    def test_calibrate(self, tmp_path):
+        # whole stacks of 512 px would add 2 x 36 000 x 512 B = 37 MB
+        few, many = self.traced_peaks(pl.cmd_calibrate, tmp_path, "calib_frames", (4000, 40000))
+        assert abs(many - few) < 1e6
+
+    def test_sweep(self, tmp_path):
+        # a whole split stack of 256 px would add 18 000 x 2 x 256 B = 9.2 MB
+        few, many = self.traced_peaks(
+            pl.cmd_sweep, tmp_path, "frames", (2000, 20000), magnifications=(0.5, 1.0, 2.0)
+        )
+        assert abs(many - few) < 1e6
+
+
+def test_every_stack_has_its_own_key(tmp_path, monkeypatch):
+    # one sweep and one calibrate at one seed: each stack draws under a (seed, stream) key
+    # that no other stack shares, and the PPF1 header and sidecar of each written stack
+    # record it (calibrate writes no stack)
+    keys = []
+
+    def spy(draw):
         def wrapped(*args, **kwargs):
-            made.append(synthesize(*args, **kwargs))
-            return made[-1]
+            events = draw(*args, **kwargs)
+            keys.append((events.detector.seed, events.detector.stream))
+            return events
         return wrapped
 
-    for name in ("synthesize_frames", "synthesize_nearfield", "synthesize_farfield"):
+    for name in ("frame_events", "nearfield_events", "farfield_events"):
         monkeypatch.setattr(pl, name, spy(getattr(pl, name)))
     out, cfg = tmp_path / "out", tmp_path / "run.cfg"
     cfg.write_text(f"out_dir={out}\nframes=300\ncalib_frames=2000\nmagnifications=0.5,1.0,2.0\nseed=11\n")
     for verb in ("sweep", "calibrate"):
         assert cli.main([verb, "--config", str(cfg)]) == 0
-    keys = []
-    for i, stack in enumerate(made):  # calibrate writes no stack: write each one here
-        write_framestack(stack, tmp_path / f"stack{i}.ppf")
-        det = read_framestack(tmp_path / f"stack{i}.ppf").detector
-        keys.append((det.seed, det.stream))
-    assert len(made) == 5 and len(set(keys)) == 5
+    assert len(keys) == 5 and len(set(keys)) == 5
     written = [read_framestack(path).detector for path in sorted(out.glob("frames_*.ppf"))]
     assert [(det.seed, det.stream) for det in written] == keys[:3]
 
@@ -740,14 +769,14 @@ class TestCliErrors:
         assert (tmp_path / "predict_tilt.csv").exists()
 
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
-        # a stack beyond memory fails in numpy's allocator (a MemoryError subclass);
+        # memory that runs out fails in numpy's allocator (a MemoryError subclass);
         # the stand-in raises its message without allocating anything
         message = "Unable to allocate 8.00 GiB for an array with shape (16777216, 2, 1, 256) and data type uint8"
 
         def oversized(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(pl, "synthesize_frames", oversized)
+        monkeypatch.setattr(pl, "frame_events", oversized)
         err = self.refused_before_output(tmp_path, capsys, ["simulate"], "")
         assert err == f"purephase simulate: error: {message}"
 

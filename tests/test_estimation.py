@@ -16,7 +16,18 @@ from purephase.estimation import (
     estimate_fedorov,
 )
 from purephase.fitting import FitError, fit_gaussian_2d
-from purephase.frames import DetectorConfig, FrameStack, synthesize_farfield, synthesize_frames, synthesize_joint, synthesize_nearfield
+from purephase.frames import (
+    DetectorConfig,
+    FrameBlock,
+    FrameEvents,
+    FrameStack,
+    frame_events,
+    nearfield_events,
+    synthesize_farfield,
+    synthesize_frames,
+    synthesize_joint,
+    synthesize_nearfield,
+)
 from purephase.optics import PrepDesign, prepare_p3, tilt_angle
 from purephase.states import DGParams, DomainError, dg_state, fedorov_ratio, phase_plane_distance
 from conftest import WAVELENGTH, paper_quad, stack_columns
@@ -252,6 +263,57 @@ class TestStreamedSums:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+
+class TestEventRoute:
+    """Sums taken from a stack's events as they are drawn, against the whole-stack formulas."""
+
+    @staticmethod
+    def draw(split, det, n_frames):
+        if split:
+            return frame_events(paper_quad(), dataclasses.replace(det, pixel_pitch=100.0), n_frames)
+        return nearfield_events(DGParams(60.0, 40.0), det, n_frames)
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("n_frames", [2, 255, 256, 257, 1025, 2500])
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "single-arm"])
+    @pytest.mark.parametrize("clip", [True, False], ids=["binary", "counting"])
+    @pytest.mark.parametrize("height", [1, 4])
+    def test_density_matches_whole_stack(self, n_frames, split, clip, height):
+        # dark counts at height 4 put blocks on the dense kernel, height 1 keeps them on the pair list
+        det = DetectorConfig(8.0, 24, height, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=clip, seed=31)
+        values = estimate_density(self.draw(split, det, n_frames), normalize=False).values
+        assert values.tobytes() == whole_stack_values(self.draw(split, det, n_frames).stack()).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("n_frames", [2, 255, 256, 257, 1025, 2500])
+    @pytest.mark.parametrize("clip", [True, False], ids=["binary", "counting"])
+    def test_profiles_match_dense_stack(self, monkeypatch, n_frames, clip):
+        # the dense stack in blocks of 7 frames (checked against a brute-force
+        # histogram above), the events in the drawn blocks of 256
+        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=clip, seed=32)
+        for profile in (autocorrelation_profile, autoconvolution_profile):
+            coords, signal = profile(self.draw(False, det, n_frames))
+            dense_coords, dense_signal = profile(self.draw(False, det, n_frames).stack())
+            assert coords.tobytes() == dense_coords.tobytes()
+            assert signal.tobytes() == dense_signal.tobytes()
+
+    @pytest.mark.parametrize("arms", [1, 2])
+    def test_pair_across_blocks_only_through_the_carried_frame(self, arms):
+        # the only counts sit in frames 255 and 256, the last of the first block
+        # and the first of the second: only the carried frame pairs them
+        n = 300
+        counts = np.zeros((n, arms, 1, 5), dtype=np.uint8)
+        counts[255, 0, 0, 1] = 1
+        counts[256, arms - 1, 0, 3] = 1
+        det = DetectorConfig(10.0, 5)
+        blocks = iter([FrameBlock.of(0, counts[:256]), FrameBlock.of(256, counts[256:])])
+        values = estimate_density(FrameEvents(det, n, arms, {}, blocks), normalize=False).values
+        expected = np.zeros((5, 5))
+        expected[1, 3] = -1.0 / (n - 1)
+        assert np.array_equal(values, expected)
+        assert values.tobytes() == whole_stack_values(FrameStack(counts, det, {})).tobytes()
 
 
 class TestWidthCalibration:

@@ -13,11 +13,16 @@ from purephase.frames import (
     DetectorConfig,
     FrameStack,
     OccupancyWarning,
+    farfield_events,
+    frame_events,
+    nearfield_events,
+    read_events,
     read_framestack,
     synthesize_farfield,
     synthesize_frames,
     synthesize_joint,
     synthesize_nearfield,
+    tee_framestack,
     write_framestack,
 )
 from purephase.states import DGParams, DomainError, dg_state
@@ -98,8 +103,12 @@ class TestDetectorConfig:
         with pytest.warns(OccupancyWarning, match="occupancy 0.226"):
             synthesize_nearfield(DGParams(60.0, 60.0), det, 2)
 
-    @pytest.mark.parametrize("kind", ["frames", "joint", "nearfield", "farfield"])
+    @pytest.mark.parametrize("kind", [
+        "frames", "joint", "nearfield", "farfield", "frame_events", "nearfield_events", "farfield_events",
+    ])
     def test_occupancy_warning_points_at_caller(self, kind):
+        # every entry point, dense or events, checks the occupancy before any
+        # block is drawn, and the warning names the file that called it
         params = DGParams(60.0, 60.0)
         near = DetectorConfig(8.0, 512, mean_pair_rate=2.0, seed=1)
         far = DetectorConfig(20.0, 512, mean_pair_rate=4.0, seed=1)
@@ -108,9 +117,12 @@ class TestDetectorConfig:
             "joint": lambda: synthesize_joint(dg_state(params, WAVELENGTH), near, 2),
             "nearfield": lambda: synthesize_nearfield(params, near, 2),
             "farfield": lambda: synthesize_farfield(params, far, 2, 15e4, WAVELENGTH),
+            "frame_events": lambda: frame_events(paper_quad(), quiet_detector(mean_pair_rate=10.0), 2),
+            "nearfield_events": lambda: nearfield_events(params, near, 2),
+            "farfield_events": lambda: farfield_events(params, far, 2, 15e4, WAVELENGTH),
         }[kind]
         with pytest.warns(OccupancyWarning) as record:
-            synthesize()
+            synthesize()  # an event entry point warns before any block is drawn
         assert record[0].filename == __file__
 
 
@@ -325,6 +337,29 @@ class TestFileFormat:
         loaded = read_framestack(path)
         assert loaded.arm_p is None
         assert np.array_equal(loaded.arm_k, stack.arm_k)
+
+    @pytest.mark.parametrize("kind", ["split", "2d", "single-arm"])
+    @pytest.mark.parametrize("clip", [True, False], ids=["binary", "counting"])
+    def test_blockwise_writer_matches_dense_writer(self, paper_dg, tmp_path, kind, clip):
+        # 600 frames: two whole drawn blocks and a partial last one
+        det = quiet_detector(clip_to_binary=clip, dark_count_prob=0.002)
+        draw = {
+            "split": lambda: frame_events(paper_quad(), det, 600),
+            "2d": lambda: frame_events(paper_quad(), dataclasses.replace(det, height=8, width=64, pixel_pitch=60.0), 600),
+            "single-arm": lambda: nearfield_events(
+                paper_dg, dataclasses.replace(det, pixel_pitch=3.25, width=512, mean_pair_rate=2.0), 600
+            ),
+        }[kind]
+        stack = draw().stack()
+        write_framestack(stack, tmp_path / "dense.ppf")
+        events = tee_framestack(draw(), tmp_path / "blocks.ppf")
+        assert not (tmp_path / "blocks.ppf").exists()  # nothing is written before a block is drawn
+        assert [block.first for block in events.blocks] == [0, 256, 512]
+        for suffix in ("", ".meta"):
+            assert (tmp_path / f"blocks.ppf{suffix}").read_bytes() == (tmp_path / f"dense.ppf{suffix}").read_bytes()
+        read = read_events(tmp_path / "blocks.ppf")
+        assert [block.shape[0] for block in read.blocks] == [256, 256, 88]
+        assert np.array_equal(read_framestack(tmp_path / "blocks.ppf").counts, stack.counts)
 
     def test_rewrite_keeps_the_sidecar(self, paper_dg, tmp_path):
         # the detector's sidecar keys are read into the detector alone, not
