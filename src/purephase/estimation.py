@@ -8,32 +8,32 @@ Every estimate comes from one pass over a stack's events, block by block,
 that bins the same-frame and next-frame count products of pixel pairs
 (x_k, x_p) by a cell map: x_k*W + x_p for the W x W density, the lag
 x_p - x_k and the sum x_k + x_p for the width-calibration profiles.  The
-events of a block are its nonzero cells and their counts: as synthesis draws
-them or PPF1 reads them, 256 frames at a time, or, for a dense stack, from
-one np.flatnonzero over each block of _BLOCK_FRAMES frames.  Each block is
-led by the previous block's last frame, carried over as its events, for the
-next-frame pairs across the boundary.  A sparse block, with at most 0.8*B*W
-pairs of events (photon-counting frames of up to about sqrt(0.4*W) counts),
-adds its pair list into the bins in place, so its cost follows its pairs and
-not the W^2 bins; any other block adds the product of its columns, which one
-np.bincount of its events forms, to W x W sums that are binned once at the
-end.  Every partial sum is an exact integer in float64, so both kernels, and
-any cut into blocks, give the same bytes.  Memory is O(B*W) plus the bins,
-W^2 for the density and 2W - 1 for a profile (and the W x W sums once a
-dense block occurs), whatever the frame count.  A
-Gaussian fit of a profile's central peak gives a width: sigma_- from the
-near-field autocorrelation, sigma_+ from the far-field autoconvolution.
+events of a block are its nonzero cells and their counts, and ``frames``
+cuts every stack into them: a stack's ``blocks`` are drawn by synthesis,
+read from PPF1 or scanned from dense counts, so the estimator only sums.
+Each block is led by the previous block's last frame, carried over as its
+events, for the next-frame pairs across the boundary.  A sparse block, with
+at most 0.8*B*W pairs of events (photon-counting frames of up to about
+sqrt(0.4*W) counts), adds its pair list into the bins in place, so its cost
+follows its pairs and not the W^2 bins; any other block adds the product of
+its columns, which one np.bincount of its events forms, to W x W sums that
+are binned once at the end.  Every partial sum is an exact integer in
+float64, so both kernels, and any cut into blocks, give the same bytes.
+Memory is O(B*W) plus the bins, W^2 for the density and 2W - 1 for a
+profile (and the W x W sums once a dense block occurs), whatever the frame
+count.  A Gaussian fit of a profile's central peak gives a width: sigma_-
+from the near-field autocorrelation, sigma_+ from the far-field
+autoconvolution.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from .density import Density2D
 from .fitting import FitError, fit_gaussian_1d, fit_gaussian_2d
-from .frames import FrameBlock, FrameEvents, FrameStack
+from .frames import FrameEvents, FrameStack
 from .states import DomainError
 
 __all__ = [
@@ -46,12 +46,6 @@ __all__ = [
 ]
 
 
-# frames per block when the sums read a dense stack, as many as the blocks a
-# stack's events are drawn and read in.  Bounds the column and pair-list
-# temporaries: a photon-counting block's stay at tens of kB, small enough that
-# glibc malloc reuses them from block to block, where 1024-frame blocks' came
-# back as fresh pages that faulted in on every block.
-_BLOCK_FRAMES = 256
 # A block of B frames of W pixels takes the pair list while its pairs number at
 # most _PAIR_LIST_SHARE * B * W.  The 0.8 was measured with 1024-frame blocks
 # whose pair lists were binned by a bincount over all W^2 bins, where the pair
@@ -79,14 +73,6 @@ def _pair_sum(out, x, weight, k_events, frames, starts, sizes, cell) -> None:
     np.add.at(out, cell(x[k], x[p]), weight[k] * weight[p])
 
 
-def _blocks(stack: FrameStack | FrameEvents) -> Iterator[FrameBlock]:
-    """The stack's events block by block: a dense stack is scanned _BLOCK_FRAMES frames at a time."""
-    if isinstance(stack, FrameEvents):
-        return stack.blocks
-    counts = stack.counts
-    return (FrameBlock.of(start, counts[start : start + _BLOCK_FRAMES]) for start in range(0, stack.n_frames, _BLOCK_FRAMES))
-
-
 def _binned_pair_sums(stack: FrameStack | FrameEvents, cell, n_bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(same-frame, next-frame, self-pair) count products of a stack, summed into ``n_bins`` bins.
 
@@ -106,7 +92,7 @@ def _binned_pair_sums(stack: FrameStack | FrameEvents, cell, n_bins: int) -> tup
     same, shifted, self_pairs = np.zeros((3, n_bins))
     carried = carried_counts = np.zeros(0, dtype=np.int64)  # the previous block's last frame
     products = None  # the (same, next)-frame W x W column products of the dense blocks, binned at the end
-    for block in _blocks(stack):
+    for block in stack.blocks:
         kept = block.shape[0]
         lead = min(block.first, 1)
         idx = np.concatenate([carried, block.cells + lead * frame_cells])  # frame-major, arm k before arm p

@@ -16,7 +16,10 @@ cells and their uint8 counts (``FrameBlock``).  A ``FrameEvents`` is a stack
 as that one-pass stream of blocks; the estimator sums pairs from it and PPF1
 writes it block by block, so neither holds more than a block of frames.  A
 ``FrameStack`` is the dense uint8 count array, assembled from the same blocks
-by the ``synthesize_*`` entry points and by ``read_framestack``.
+by the ``synthesize_*`` entry points and by ``read_framestack``.  This module
+cuts every stack into blocks: synthesis and the PPF1 reader hand on events
+of 256 frames a block, and a dense stack's ``blocks`` cuts its counts alike,
+so the estimator reads any stack through ``blocks`` and only sums.
 
 Determinism: a stack draws from Philox4x64 keyed by (seed mod 2^64,
 stream), one block of 256 frames at a time, block b from counter
@@ -68,6 +71,13 @@ _FLAG_DUAL_ARM = 2
 # largest height or width (uint16) and largest frame count (uint32) a PPF1 header holds
 PPF1_MAX_PX = 0xFFFF
 PPF1_MAX_FRAMES = 0xFFFF_FFFF
+# frames per block wherever a stack is cut into events: a dense stack's blocks
+# and the PPF1 reader's.  It bounds the estimator's column and pair-list
+# temporaries: a photon-counting block's stay at tens of kB, small enough that
+# glibc malloc reuses them from block to block, where 1024-frame blocks' came
+# back as fresh pages that faulted in on every block.  It equals the stream's
+# _STREAM_BLOCK_FRAMES, so every route cuts a stack at the same frames.
+_BLOCK_FRAMES = 256
 
 
 class OccupancyWarning(UserWarning):
@@ -106,16 +116,20 @@ class DetectorConfig:
         return self.height > 1
 
 
+def pixel_centers(width: int, pitch: float) -> np.ndarray:
+    """The coordinates of the centres of ``width`` pixels of ``pitch``, centred on the optical axis."""
+    return (np.arange(width) - width / 2.0 + 0.5) * pitch
+
+
 class _Frames:
-    """What a dense stack and its events share: the camera's ``detector`` and ``arms``."""
+    """What a dense stack and its events share: the camera's ``detector``, ``arms`` and ``blocks``."""
 
     @property
     def dual_arm(self) -> bool:
         return self.arms == 2
 
     def pixel_centers(self) -> np.ndarray:
-        w = self.detector.width
-        return (np.arange(w) - w / 2.0 + 0.5) * self.detector.pixel_pitch
+        return pixel_centers(self.detector.width, self.detector.pixel_pitch)
 
 
 @dataclass
@@ -141,6 +155,12 @@ class FrameStack(_Frames):
     @property
     def arm_p(self) -> np.ndarray | None:
         return self.counts[:, 1] if self.dual_arm else None
+
+    @property
+    def blocks(self) -> Iterator[FrameBlock]:
+        """The stack's events, ``_BLOCK_FRAMES`` frames a block, in frame order."""
+        counts = self.counts
+        return (FrameBlock.of(first, counts[first : first + _BLOCK_FRAMES]) for first in range(0, self.n_frames, _BLOCK_FRAMES))
 
 
 class FrameBlock(NamedTuple):
@@ -422,7 +442,7 @@ def tee_framestack(events: FrameEvents, path) -> FrameEvents:
 
 
 def read_events(path) -> FrameEvents:
-    """A PPF1 stack's events, read 256 frames at a time as they are iterated.
+    """A PPF1 stack's events, read ``_BLOCK_FRAMES`` frames at a time as they are iterated.
 
     The header, the payload's size and the sidecar are checked before any
     frame is read.
@@ -472,8 +492,8 @@ def _read_blocks(path, det: DetectorConfig, n_frames: int, arms: int, frame_byte
     """The events of a PPF1 payload, ``frame_bytes`` per arm of a frame."""
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        for first in range(0, n_frames, _STREAM_BLOCK_FRAMES):
-            frames = min(n_frames - first, _STREAM_BLOCK_FRAMES)
+        for first in range(0, n_frames, _BLOCK_FRAMES):
+            frames = min(n_frames - first, _BLOCK_FRAMES)
             raw = fh.read(frames * arms * frame_bytes)
             if len(raw) != frames * arms * frame_bytes:
                 raise DomainError(f"{path} is truncated")

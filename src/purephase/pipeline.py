@@ -31,7 +31,16 @@ from .estimation import (
     estimate_density,
 )
 from .fitting import _gauss2d, fit_gaussian_2d, fit_magnification_curve
-from .frames import DetectorConfig, FrameEvents, farfield_events, frame_events, nearfield_events, read_events, tee_framestack
+from .frames import (
+    DetectorConfig,
+    FrameEvents,
+    farfield_events,
+    frame_events,
+    nearfield_events,
+    pixel_centers,
+    read_events,
+    tee_framestack,
+)
 # the dense-stack functions stay bound here only because the benchmark's tracer wraps them under these names
 from .frames import read_framestack, synthesize_farfield, synthesize_frames, synthesize_nearfield, write_framestack
 from .optics import PrepDesign, measurement_quadratic, principal_widths, tilt_angle
@@ -190,7 +199,7 @@ def cmd_calibrate(cfg: RunConfig) -> dict:
 
 
 def _rasterize(quad, pitch: float, width: int) -> Density2D:
-    centers = (np.arange(width) - width / 2.0 + 0.5) * pitch
+    centers = pixel_centers(width, pitch)
     vals = _gauss2d((centers[:, None], centers[None, :]), 1.0, 0.0, 0.0, quad.kk, quad.kp, quad.pp, 0.0)
     dens = Density2D(vals, float(centers[0]), pitch, float(centers[0]), pitch)
     return dens.self_normalized()

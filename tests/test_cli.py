@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import purephase.pipeline as pl
-from purephase import cli
+from purephase import cli, frames
 from purephase.config import RunConfig, config_from_file, parse_config_file
 from purephase.density import Density2D, read_density, read_density_csv, write_density, write_density_csv
 from purephase.fitting import fit_gaussian_2d
@@ -392,6 +392,17 @@ def test_calibrate_profile_bytes(calibrated, name):
 
 
 class TestDensityArtifacts:
+    def test_predicted_and_measured_densities_share_the_pixel_grid(self, small_sweep, tmp_path):
+        out, _ = small_sweep
+        assert cli.main(["predict", *SMALL_SWEEP[1:], "--out", str(tmp_path)]) == 0
+        cfg = RunConfig(frames=600, magnifications=(0.5, 1.0, 2.0), seed=11)
+        det = pl._detector_for(cfg, pl.quad_for(cfg, 1.0), 1)
+        origin = frames.pixel_centers(det.width, det.pixel_pitch)[0]
+        for path in (tmp_path / "predict_rho_m+1.00.npy", out / "density_m+1.00.npy"):
+            dens = read_density(path)[0]
+            assert (dens.k_origin, dens.p_origin) == (origin, origin), path.name
+            assert (dens.k_pitch, dens.p_pitch) == (det.pixel_pitch, det.pixel_pitch), path.name
+
     def test_npy_grids_are_the_sweep_densities_bitwise(self, small_sweep):
         out, written = small_sweep
         tags = ("0.50", "1.00", "2.00")

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from purephase import estimation
+from purephase import estimation, frames
 from purephase.density import Density2D
 from purephase.estimation import (
     autoconvolution_profile,
@@ -23,10 +23,12 @@ from purephase.frames import (
     FrameStack,
     frame_events,
     nearfield_events,
+    read_events,
     synthesize_farfield,
     synthesize_frames,
     synthesize_joint,
     synthesize_nearfield,
+    write_framestack,
 )
 from purephase.optics import PrepDesign, prepare_p3, tilt_angle
 from purephase.states import DGParams, DomainError, dg_state, fedorov_ratio, phase_plane_distance
@@ -207,7 +209,7 @@ class TestStreamedSums:
     @pytest.mark.parametrize("clip", [True, False])
     @pytest.mark.parametrize("height", [1, 4])
     def test_blocks_match_whole_stack(self, monkeypatch, n_frames, kernel_switch, split, clip, height):
-        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        monkeypatch.setattr(frames, "_BLOCK_FRAMES", 7)
         dark = 0.0 if clip or kernel_switch else 0.02
         rate = 0.5 if kernel_switch else 1.5  # keeps every photon-counting block sparse
         det = DetectorConfig(8.0, 24, height, mean_pair_rate=rate, dark_count_prob=dark, clip_to_binary=clip, seed=29)
@@ -234,7 +236,7 @@ class TestStreamedSums:
     def test_carried_frame_feeds_shifted_sum(self, monkeypatch):
         # the only counts sit in frames 6 and 7, the last of the first block
         # and the first of the second: only the carried frame pairs them
-        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        monkeypatch.setattr(frames, "_BLOCK_FRAMES", 7)
         n = 14
         counts = np.zeros((n, 1, 1, 5), dtype=np.uint8)
         counts[6, 0, 0, 1] = 1
@@ -291,11 +293,30 @@ class TestEventRoute:
     def test_profiles_match_dense_stack(self, monkeypatch, n_frames, clip):
         # the dense stack in blocks of 7 frames (checked against a brute-force
         # histogram above), the events in the drawn blocks of 256
-        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        monkeypatch.setattr(frames, "_BLOCK_FRAMES", 7)
         det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=clip, seed=32)
         for profile in (autocorrelation_profile, autoconvolution_profile):
             coords, signal = profile(self.draw(False, det, n_frames))
             dense_coords, dense_signal = profile(self.draw(False, det, n_frames).stack())
+            assert coords.tobytes() == dense_coords.tobytes()
+            assert signal.tobytes() == dense_signal.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "single-arm"])
+    @pytest.mark.parametrize("clip", [True, False], ids=["binary", "counting"])
+    def test_read_blocks_match_dense_stack(self, monkeypatch, tmp_path, split, clip):
+        # the PPF1 reader and the dense stack both cut at frames._BLOCK_FRAMES,
+        # here 7: 600 frames are 85 whole blocks and a short last one
+        monkeypatch.setattr(frames, "_BLOCK_FRAMES", 7)
+        det = DetectorConfig(8.0, 24, mean_pair_rate=1.5, dark_count_prob=0.02, clip_to_binary=clip, seed=34)
+        stack = self.draw(split, det, 600).stack()
+        write_framestack(stack, tmp_path / "stack.ppf")
+        assert [block.shape[0] for block in read_events(tmp_path / "stack.ppf").blocks] == [7] * 85 + [5]
+        read = estimate_density(read_events(tmp_path / "stack.ppf")).values
+        assert read.tobytes() == estimate_density(stack).values.tobytes()
+        for profile in () if split else (autocorrelation_profile, autoconvolution_profile):
+            coords, signal = profile(read_events(tmp_path / "stack.ppf"))
+            dense_coords, dense_signal = profile(stack)
             assert coords.tobytes() == dense_coords.tobytes()
             assert signal.tobytes() == dense_signal.tobytes()
 
@@ -381,7 +402,7 @@ class TestWidthCalibration:
         # blocks of 7 frames: 0-6 and 14-20 photon-counting, 7-13 all ones
         # (the dense kernel), 21-23 a short last one; frames 6, 13 and 20 hold
         # counts, so every boundary carries a frame into the next block
-        monkeypatch.setattr(estimation, "_BLOCK_FRAMES", 7)
+        monkeypatch.setattr(frames, "_BLOCK_FRAMES", 7)
         det = DetectorConfig(8.0, 24, mean_pair_rate=0.5, dark_count_prob=0.02, clip_to_binary=clip, seed=30)
         stack = synthesize_nearfield(DGParams(60.0, 40.0), det, 24)
         stack.counts[7:14] = 1

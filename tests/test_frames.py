@@ -311,6 +311,29 @@ class TestRekeying:
         assert len(built) <= 1
 
 
+class TestBlocks:
+    """A dense stack is cut into the blocks its events are drawn in."""
+
+    @pytest.mark.filterwarnings("ignore::purephase.frames.OccupancyWarning")
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 2500])
+    @pytest.mark.parametrize("split", [True, False], ids=["split", "single-arm"])
+    @pytest.mark.parametrize("clip", [True, False], ids=["binary", "counting"])
+    def test_dense_blocks_are_the_drawn_blocks(self, paper_dg, n_frames, split, clip):
+        det = quiet_detector(clip_to_binary=clip, dark_count_prob=0.002)
+        if split:
+            stack, events = synthesize_frames(paper_quad(), det, n_frames), frame_events(paper_quad(), det, n_frames)
+        else:
+            det = dataclasses.replace(det, pixel_pitch=3.25, width=512, mean_pair_rate=2.0)
+            stack, events = synthesize_nearfield(paper_dg, det, n_frames), nearfield_events(paper_dg, det, n_frames)
+        blocks = list(zip(stack.blocks, events.blocks, strict=True))
+        assert len(blocks) == math.ceil(n_frames / 256)
+        for dense, drawn in blocks:
+            assert (dense.first, dense.shape) == (drawn.first, drawn.shape)
+            for name in ("cells", "counts"):
+                ours, theirs = getattr(dense, name), getattr(drawn, name)
+                assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), (dense.first, name)
+
+
 class TestFileFormat:
     @pytest.mark.parametrize("clip", [True, False])
     def test_round_trip(self, tmp_path, clip):
